@@ -43,6 +43,59 @@ func adaptationDB(t *testing.T) *DB {
 	return db
 }
 
+// TestExplainAnalyzeLedgerFooter: once a table has ledger activity,
+// EXPLAIN ANALYZE gains the ledger footer with totals and the template
+// behind the last split — on one shard and on four, where the splits
+// happen inside the one shard the hot range prunes down to.
+func TestExplainAnalyzeLedgerFooter(t *testing.T) {
+	const fp = "SELECT COUNT(*) FROM data WHERE v BETWEEN ? AND ?"
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := Open(Options{
+				Policy:   Adaptive,
+				Adaptive: AdaptiveConfig{InitialZoneRows: 4096, MinZoneRows: 64},
+				Shards:   shards, ShardKey: "v",
+			})
+			defer db.Close()
+			tab, err := db.CreateTable("data", Col("v", Int64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([][]Value, 1<<14)
+			for i := range rows {
+				rows[i] = []Value{IntValue(int64(i))}
+			}
+			if err := tab.AppendBatch(rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.EnableSkipping("v"); err != nil {
+				t.Fatal(err)
+			}
+			var lines []string
+			for i := 0; i < 12; i++ {
+				if lines, _, err = db.ExplainAnalyze("SELECT COUNT(*) FROM data WHERE v BETWEEN 5000 AND 5200"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var footer string
+			for _, l := range lines {
+				if strings.HasPrefix(l, "ledger: ") {
+					footer = l
+				}
+			}
+			if footer == "" {
+				t.Fatalf("no ledger footer in:\n%s", strings.Join(lines, "\n"))
+			}
+			if !strings.Contains(footer, "adaptation events") || !strings.Contains(footer, "splits)") {
+				t.Fatalf("ledger footer malformed: %q", footer)
+			}
+			if !strings.Contains(footer, "last split") || !strings.Contains(footer, fp) {
+				t.Fatalf("ledger footer lost split provenance: %q", footer)
+			}
+		})
+	}
+}
+
 // TestAdaptationThroughFacade is the end-to-end acceptance check: a hot
 // SQL template drives splits that land in the ledger with the template's
 // fingerprint as cause, ROI accounting credits the pruning against its

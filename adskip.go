@@ -254,7 +254,7 @@ type Options struct {
 	// it: their traces are marked slow and copied to the slow-query log
 	// (DB.SlowTraces, /slow). Zero disables the slow-query log.
 	SlowQueryThreshold time.Duration
-	// Logger receives structured log events from every table's engine:
+	// Logger receives structured log events from every table:
 	// slow queries at warn, quarantines at error, adaptation milestones
 	// at info, per-zone structural churn at debug. Nil disables logging
 	// (the hot path then pays one nil check).
@@ -299,16 +299,17 @@ type Options struct {
 	// Shards partitions every table created on this DB into per-core
 	// shards behind a scatter-gather executor: queries shard-prune by
 	// observed key bounds before any zone metadata is consulted, fan out
-	// to the survivors in parallel, and merge. 0 or 1 means unsharded
-	// (single engine). See DESIGN §13.
+	// to the survivors in parallel, and merge. 0 or 1 means one shard:
+	// the same query path with no shard key and no shard pruning. See
+	// DESIGN §13.
 	Shards int
 	// ShardKey names the shard key column (BIGINT or DOUBLE). Empty picks
 	// each table's first numeric column. Ignored unless Shards > 1.
 	ShardKey string
 	// ShardBy selects the routing mode: "range" (default — learned
 	// equi-depth bounds, range predicates on the key prune shards) or
-	// "hash" (uniform placement, little shard pruning). Ignored unless
-	// Shards > 1.
+	// "hash" (uniform placement, little shard pruning). Has no effect
+	// unless Shards > 1, but any other value fails CreateTable.
 	ShardBy string
 }
 
@@ -339,32 +340,11 @@ type ColumnDef struct {
 // Col is a convenience constructor for ColumnDef.
 func Col(name string, typ Type) ColumnDef { return ColumnDef{Name: name, Type: typ} }
 
-// executor is the per-table query backend: a plain *engine.Engine, or a
-// *shard.Manager fanning out to per-shard engines. Everything the facade
-// drives goes through this surface so sharded and unsharded tables are
-// interchangeable past CreateTable.
-type executor interface {
-	sql.Executor
-	NumRows() int
-	AppendRow(vals ...storage.Value) error
-	AppendRows(rows [][]storage.Value) error
-	Update(col string, row int, v storage.Value) error
-	EnableSkipping(cols ...string) error
-	SkipperMetadata() map[string]core.Metadata
-	Quarantined() map[string]error
-	RebuildSkipping(cols ...string) error
-	VerifySkipping(cols ...string) error
-	SaveSkipper(col string, w io.Writer) error
-	LoadSkipper(col string, r io.Reader) error
-	SetWAL(l *wal.Log)
-	ReplayRecord(rec *wal.Record) error
-	FillHistory(s *obs.HistorySample)
-	AccumulateLatency(dst []int64)
-}
-
 // DB is a catalog of tables sharing one skipping configuration and one
-// observability plane (metrics registry, adaptation-event log, trace
-// rings, and an optional embedded telemetry server).
+// observability plane (metrics registry, adaptation-event log, ledger,
+// trace rings, workload table, and an optional embedded telemetry
+// server). Every table is a shard manager of Options.Shards shards (one
+// when unset), so sharded and unsharded tables run one query path.
 type DB struct {
 	opts      Options
 	reg       *obs.Registry
@@ -375,10 +355,10 @@ type DB struct {
 	slow      *obs.TraceRing
 
 	// mu guards the catalog and the telemetry handle: the telemetry
-	// server's Skipmap/trace closures read engines concurrently with
+	// server's Skipmap/trace closures read tables concurrently with
 	// CreateTable/LoadTable/LoadCSV.
 	mu      sync.RWMutex
-	engines map[string]executor
+	tables  map[string]*shard.Manager
 	telem   *telemetry.Server
 	sampler *obs.Sampler
 
@@ -413,7 +393,7 @@ var (
 func Open(opts Options) *DB {
 	db := &DB{
 		opts:      opts,
-		engines:   make(map[string]executor),
+		tables:    make(map[string]*shard.Manager),
 		reg:       obs.NewRegistry(),
 		events:    obs.NewEventLog(0),
 		ledger:    obs.NewLedger(0),
@@ -448,26 +428,47 @@ func Open(opts Options) *DB {
 	return db
 }
 
-// engineOptions maps DB options onto per-table engine options. All tables
-// share the DB's trace rings, so /traces and DB.Traces interleave queries
-// across the whole catalog in arrival order.
-func (db *DB) engineOptions() engine.Options {
-	return engine.Options{
-		Policy:             db.opts.Policy,
-		StaticZoneSize:     db.opts.StaticZoneSize,
-		Adaptive:           db.opts.Adaptive,
-		Parallelism:        db.opts.Parallelism,
-		Metrics:            db.reg,
-		Events:             db.events,
-		Ledger:             db.ledger,
-		Limits:             db.opts.Limits,
+// shardOptions maps DB options onto per-table shard manager options. All
+// tables share the DB's registry, event log, ledger, admission control,
+// trace rings and workload table, so /traces and DB.Traces interleave
+// queries across the whole catalog in arrival order.
+func (db *DB) shardOptions() (shard.Options, error) {
+	mode, err := shard.ParseMode(db.opts.ShardBy)
+	if err != nil {
+		return shard.Options{}, fmt.Errorf("adskip: %w", err)
+	}
+	return shard.Options{
+		Shards:             max(db.opts.Shards, 1),
+		Key:                db.opts.ShardKey,
+		Mode:               mode,
 		Admission:          db.admission,
 		Traces:             db.traces,
 		SlowTraces:         db.slow,
 		SlowQueryThreshold: db.opts.SlowQueryThreshold,
-		Logger:             db.opts.Logger,
 		Stats:              db.stats,
+		Engine: engine.Options{
+			Policy:         db.opts.Policy,
+			StaticZoneSize: db.opts.StaticZoneSize,
+			Adaptive:       db.opts.Adaptive,
+			Parallelism:    db.opts.Parallelism,
+			Metrics:        db.reg,
+			Events:         db.events,
+			Ledger:         db.ledger,
+			Limits:         db.opts.Limits,
+			Logger:         db.opts.Logger,
+		},
+	}, nil
+}
+
+// managers returns the catalog's tables, read under the catalog lock.
+func (db *DB) managers() []*shard.Manager {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := make([]*shard.Manager, 0, len(db.tables))
+	for _, m := range db.tables {
+		out = append(out, m)
 	}
+	return out
 }
 
 // Traces returns the most recent query traces across all tables,
@@ -491,20 +492,9 @@ func (db *DB) Workload(sortBy string, k int) WorkloadSnapshot {
 // (<= 0 returns every zone); counters are cumulative since each skipper
 // was built.
 func (db *DB) Skipmap(maxZones int) []SkipmapTable {
-	db.mu.RLock()
-	engines := make([]executor, 0, len(db.engines))
-	for _, e := range db.engines {
-		engines = append(engines, e)
-	}
-	db.mu.RUnlock()
-	out := make([]SkipmapTable, 0, len(engines))
-	for _, e := range engines {
-		switch x := e.(type) {
-		case *shard.Manager:
-			out = append(out, x.Skipmaps(maxZones)...)
-		case *engine.Engine:
-			out = append(out, x.Skipmap(maxZones))
-		}
+	var out []SkipmapTable
+	for _, m := range db.managers() {
+		out = append(out, m.Skipmaps(maxZones)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Table < out[j].Table })
 	return out
@@ -516,25 +506,14 @@ func (db *DB) Skipmap(maxZones int) []SkipmapTable {
 // each column's dead-zone detail (<= 0 omits the detail, keeping the
 // counts).
 func (db *DB) Adaptation(maxDead int) AdaptationSnapshot {
-	db.mu.RLock()
-	engines := make([]executor, 0, len(db.engines))
-	for _, e := range db.engines {
-		engines = append(engines, e)
-	}
-	db.mu.RUnlock()
 	snap := AdaptationSnapshot{
 		Total:   db.ledger.Seq(),
 		Dropped: db.ledger.Dropped(),
 		Events:  db.ledger.Records(),
 		ROI:     []AdaptationROI{},
 	}
-	for _, e := range engines {
-		switch x := e.(type) {
-		case *shard.Manager:
-			snap.ROI = append(snap.ROI, x.AdaptationROI(maxDead)...)
-		case *engine.Engine:
-			snap.ROI = append(snap.ROI, x.AdaptationROI(maxDead)...)
-		}
+	for _, m := range db.managers() {
+		snap.ROI = append(snap.ROI, m.AdaptationROI(maxDead)...)
 	}
 	sort.Slice(snap.ROI, func(i, j int) bool {
 		a, b := snap.ROI[i], snap.ROI[j]
@@ -553,7 +532,8 @@ func (db *DB) Adaptation(maxDead int) AdaptationSnapshot {
 // ("127.0.0.1:0" when empty — an ephemeral localhost port) and returns
 // the server's base URL. The server exposes /metrics (Prometheus),
 // /metrics.json, /traces, /slow, /skipmap, /events, /runtime, /history,
-// /dash, and /debug/pprof/*; it runs until DB.Close. The adaptation-
+// /health, /alerts, /workload, /adaptation, /dash, and /debug/pprof/*;
+// it runs until DB.Close. The adaptation-
 // timeline sampler (behind /history and DB.History) starts alongside
 // and also stops at Close. Starting twice is an error.
 func (db *DB) StartTelemetry(addr string) (string, error) {
@@ -661,18 +641,12 @@ func (db *DB) History() []HistorySample {
 }
 
 // fillHistory is the sampler's fill callback: it aggregates every
-// engine's cumulative totals and per-column skipping state into one
-// sample and estimates latency quantiles from the engines' merged
+// table's cumulative totals and per-column skipping state into one
+// sample and estimates latency quantiles from the tables' merged
 // latency histograms. It runs on the sampler goroutine; the only
-// allocations are the catalog-lock-bounded engine list and, on column
+// allocations are the catalog-lock-bounded table list and, on column
 // growth, the sample's column slice.
 func (db *DB) fillHistory(s *HistorySample) {
-	db.mu.RLock()
-	engines := make([]executor, 0, len(db.engines))
-	for _, e := range db.engines {
-		engines = append(engines, e)
-	}
-	db.mu.RUnlock()
 
 	// The merged latency histogram lives on the sample itself (slot slice
 	// reused by the ring), so the health monitor can window per-tick
@@ -682,9 +656,9 @@ func (db *DB) fillHistory(s *HistorySample) {
 	for i := 0; i < len(bounds)+1; i++ {
 		buckets = append(buckets, 0)
 	}
-	for _, e := range engines {
-		e.FillHistory(s)
-		e.AccumulateLatency(buckets)
+	for _, m := range db.managers() {
+		m.FillHistory(s)
+		m.AccumulateLatency(buckets)
 	}
 	s.LatencyBuckets = buckets
 	s.QueueDepth = db.admission.Waiting()
@@ -780,25 +754,25 @@ func (db *DB) ExplainAnalyze(query string) ([]string, *Result, error) {
 	return e.ExplainAnalyzeContext(ctx, q)
 }
 
-// lookup resolves a table name to its executor under the catalog lock.
-func (db *DB) lookup(name string) (executor, bool) {
+// lookup resolves a table name to its manager under the catalog lock.
+func (db *DB) lookup(name string) (*shard.Manager, bool) {
 	db.mu.RLock()
-	e, ok := db.engines[name]
+	m, ok := db.tables[name]
 	db.mu.RUnlock()
-	return e, ok
+	return m, ok
 }
 
-// register adds an engine to the catalog; it fails if the name is taken.
+// register adds a table to the catalog; it fails if the name is taken.
 // Tables created after Recover are armed with the WAL immediately.
-func (db *DB) register(name string, e executor) error {
+func (db *DB) register(name string, m *shard.Manager) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, dup := db.engines[name]; dup {
+	if _, dup := db.tables[name]; dup {
 		return fmt.Errorf("%w: %q", ErrTableExists, name)
 	}
-	db.engines[name] = e
+	db.tables[name] = m
 	if db.wal != nil {
-		e.SetWAL(db.wal)
+		m.SetWAL(db.wal)
 	}
 	return nil
 }
@@ -852,16 +826,10 @@ func (db *DB) Recover() (RecoveryStats, error) {
 	}
 	// The replayed state must satisfy every skipping invariant before the
 	// store accepts new writes on top of it.
-	db.mu.RLock()
-	engines := make([]executor, 0, len(db.engines))
-	for _, e := range db.engines {
-		engines = append(engines, e)
-	}
-	db.mu.RUnlock()
 	var verr error
-	for _, e := range engines {
-		if err := e.VerifySkipping(); err != nil {
-			verr = errors.Join(verr, fmt.Errorf("table %q: %w", e.Table().Name(), err))
+	for _, m := range db.managers() {
+		if err := m.VerifySkipping(); err != nil {
+			verr = errors.Join(verr, fmt.Errorf("table %q: %w", m.Table().Name(), err))
 		}
 	}
 	if verr != nil {
@@ -870,8 +838,8 @@ func (db *DB) Recover() (RecoveryStats, error) {
 	}
 	db.mu.Lock()
 	db.wal = l
-	for _, e := range db.engines {
-		e.SetWAL(l)
+	for _, m := range db.tables {
+		m.SetWAL(l)
 	}
 	db.mu.Unlock()
 	db.recovering.Store(false)
@@ -930,63 +898,45 @@ func (db *DB) CreateTable(name string, cols ...ColumnDef) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := db.newExecutor(tbl)
+	m, err := db.newManager(tbl)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.register(name, e); err != nil {
+	if err := db.register(name, m); err != nil {
 		return nil, err
 	}
-	return &Table{eng: e}, nil
+	return &Table{m: m}, nil
 }
 
-// newExecutor builds the execution stack for a table: a single engine,
-// or — when Options.Shards > 1 — a shard manager that partitions the
-// table's rows across per-core engines and scatter-gathers queries.
-func (db *DB) newExecutor(tbl *table.Table) (executor, error) {
-	if db.opts.Shards <= 1 {
-		return engine.New(tbl, db.engineOptions()), nil
-	}
-	mode, err := shard.ParseMode(db.opts.ShardBy)
+// newManager builds a table's query path: a shard manager adopting tbl
+// as its one shard, or — when Options.Shards > 1 — partitioning tbl's
+// rows across per-core shard engines.
+func (db *DB) newManager(tbl *table.Table) (*shard.Manager, error) {
+	so, err := db.shardOptions()
 	if err != nil {
-		return nil, fmt.Errorf("adskip: %w", err)
+		return nil, err
 	}
-	m, err := shard.NewFromTable(tbl, shard.Options{
-		Shards: db.opts.Shards,
-		Key:    db.opts.ShardKey,
-		Mode:   mode,
-		Engine: db.engineOptions(),
-	})
+	m, err := shard.NewFromTable(tbl, so)
 	if err != nil {
 		return nil, fmt.Errorf("adskip: %w", err)
 	}
 	return m, nil
 }
 
-// dataTable resolves an executor to a queryable-as-data table: the
-// engine's own table, or — for a sharded table — a merged snapshot in
-// ascending key order (range mode) for export.
-func dataTable(e executor) (*table.Table, error) {
-	if m, ok := e.(*shard.Manager); ok {
-		return m.Merged()
-	}
-	return e.Table(), nil
-}
-
 // Table returns a handle to an existing table.
 func (db *DB) Table(name string) (*Table, error) {
-	e, ok := db.lookup(name)
+	m, ok := db.lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
-	return &Table{eng: e}, nil
+	return &Table{m: m}, nil
 }
 
 // TableNames lists the catalog in lexicographic order.
 func (db *DB) TableNames() []string {
 	db.mu.RLock()
-	names := make([]string, 0, len(db.engines))
-	for n := range db.engines {
+	names := make([]string, 0, len(db.tables))
+	for n := range db.tables {
 		names = append(names, n)
 	}
 	db.mu.RUnlock()
@@ -1024,11 +974,11 @@ func (db *DB) ExecContext(ctx context.Context, query string) (*Result, error) {
 
 // SaveTable serializes a table snapshot to w (binary, checksummed).
 func (db *DB) SaveTable(name string, w io.Writer) error {
-	e, ok := db.lookup(name)
+	m, ok := db.lookup(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
-	tbl, err := dataTable(e)
+	tbl, err := m.Merged()
 	if err != nil {
 		return err
 	}
@@ -1043,14 +993,14 @@ func (db *DB) LoadTable(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := db.newExecutor(tbl)
+	m, err := db.newManager(tbl)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.register(tbl.Name(), e); err != nil {
+	if err := db.register(tbl.Name(), m); err != nil {
 		return nil, err
 	}
-	return &Table{eng: e}, nil
+	return &Table{m: m}, nil
 }
 
 // CSVOptions re-exports the table layer's CSV ingest options.
@@ -1066,26 +1016,25 @@ func (db *DB) LoadCSV(name string, r io.Reader, opts CSVOptions) (*Table, error)
 	if err != nil {
 		return nil, err
 	}
-	e, err := db.newExecutor(tbl)
+	m, err := db.newManager(tbl)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.register(name, e); err != nil {
+	if err := db.register(name, m); err != nil {
 		return nil, err
 	}
-	return &Table{eng: e}, nil
+	return &Table{m: m}, nil
 }
 
-// Table is a handle to one table and its execution stack (a single query
-// engine, or a shard manager when the DB is sharded).
+// Table is a handle to one table and its shard manager.
 type Table struct {
-	eng executor
+	m *shard.Manager
 }
 
 // WriteCSV writes the table's rows as CSV with a header. NULLs render as
 // nullLit. On a sharded table the export is a merged snapshot.
 func (t *Table) WriteCSV(w io.Writer, nullLit string) error {
-	tbl, err := dataTable(t.eng)
+	tbl, err := t.m.Merged()
 	if err != nil {
 		return err
 	}
@@ -1095,33 +1044,28 @@ func (t *Table) WriteCSV(w io.Writer, nullLit string) error {
 // SaveSkipping serializes a column's learned adaptive zonemap so the
 // refinement paid for by past queries survives restarts.
 func (t *Table) SaveSkipping(col string, w io.Writer) error {
-	return t.eng.SaveSkipper(col, w)
+	return t.m.SaveSkipper(col, w)
 }
 
 // LoadSkipping restores a column's adaptive zonemap from a snapshot,
 // verifying it against the column's current contents.
 func (t *Table) LoadSkipping(col string, r io.Reader) error {
-	return t.eng.LoadSkipper(col, r)
+	return t.m.LoadSkipper(col, r)
 }
 
 // Name returns the table name.
-func (t *Table) Name() string { return t.eng.Table().Name() }
+func (t *Table) Name() string { return t.m.Table().Name() }
 
 // NumRows returns the current row count.
-func (t *Table) NumRows() int { return t.eng.NumRows() }
+func (t *Table) NumRows() int { return t.m.NumRows() }
 
 // Shards returns the table's shard count: 1 for an unsharded table.
-func (t *Table) Shards() int {
-	if m, ok := t.eng.(*shard.Manager); ok {
-		return m.Shards()
-	}
-	return 1
-}
+func (t *Table) Shards() int { return t.m.Shards() }
 
 // Append ingests one row using native Go values: int/int64 for BIGINT,
 // float64 for DOUBLE, string for VARCHAR, nil for NULL.
 func (t *Table) Append(vals ...interface{}) error {
-	tbl := t.eng.Table()
+	tbl := t.m.Table()
 	schema := tbl.Schema()
 	if len(vals) != len(schema) {
 		return fmt.Errorf("adskip: got %d values, schema has %d columns", len(vals), len(schema))
@@ -1134,20 +1078,20 @@ func (t *Table) Append(vals ...interface{}) error {
 		}
 		converted[i] = cv
 	}
-	return t.eng.AppendRow(converted...)
+	return t.m.AppendRow(converted...)
 }
 
 // AppendValues ingests one row of typed Values.
-func (t *Table) AppendValues(vals ...Value) error { return t.eng.AppendRow(vals...) }
+func (t *Table) AppendValues(vals ...Value) error { return t.m.AppendRow(vals...) }
 
 // AppendBatch ingests a batch of typed rows atomically with respect to
 // queries. On a durable DB the whole batch is one WAL record and one
 // group-commit wait, so batching is the high-throughput ingest path.
-func (t *Table) AppendBatch(rows [][]Value) error { return t.eng.AppendRows(rows) }
+func (t *Table) AppendBatch(rows [][]Value) error { return t.m.AppendRows(rows) }
 
 // Update overwrites one cell in place (BIGINT and DOUBLE columns).
 func (t *Table) Update(col string, row int, v interface{}) error {
-	tbl := t.eng.Table()
+	tbl := t.m.Table()
 	c, err := tbl.Column(col)
 	if err != nil {
 		return err
@@ -1156,26 +1100,26 @@ func (t *Table) Update(col string, row int, v interface{}) error {
 	if err != nil {
 		return err
 	}
-	return t.eng.Update(col, row, cv)
+	return t.m.Update(col, row, cv)
 }
 
 // EnableSkipping builds skipping metadata on the named columns (all when
 // none given) using the database's policy.
-func (t *Table) EnableSkipping(cols ...string) error { return t.eng.EnableSkipping(cols...) }
+func (t *Table) EnableSkipping(cols ...string) error { return t.m.EnableSkipping(cols...) }
 
 // SkipperInfo reports per-column metadata state.
-func (t *Table) SkipperInfo() map[string]SkipperInfo { return t.eng.SkipperMetadata() }
+func (t *Table) SkipperInfo() map[string]SkipperInfo { return t.m.SkipperMetadata() }
 
 // Query executes an engine-level query directly (advanced API; most
 // callers use DB.Exec with SQL).
 func (t *Table) Query(q engine.Query) (*Result, error) {
-	return t.eng.QueryContext(context.Background(), q)
+	return t.m.QueryContext(context.Background(), q)
 }
 
 // QueryContext is Query under a context: cancellation and deadlines take
 // effect at cooperative scan checkpoints.
 func (t *Table) QueryContext(ctx context.Context, q engine.Query) (*Result, error) {
-	return t.eng.QueryContext(ctx, q)
+	return t.m.QueryContext(ctx, q)
 }
 
 // Quarantined reports columns whose skipping metadata was pulled from
@@ -1183,28 +1127,20 @@ func (t *Table) QueryContext(ctx context.Context, q engine.Query) (*Result, erro
 // error that benched each one. Quarantined columns run full scans —
 // correct, just slower — until RebuildSkipping, EnableSkipping, or
 // LoadSkipping reinstates metadata.
-func (t *Table) Quarantined() map[string]error { return t.eng.Quarantined() }
+func (t *Table) Quarantined() map[string]error { return t.m.Quarantined() }
 
 // RebuildSkipping reconstructs skipping metadata from base column data on
 // the named columns (all quarantined columns when none are named),
 // clearing their quarantine.
-func (t *Table) RebuildSkipping(cols ...string) error { return t.eng.RebuildSkipping(cols...) }
+func (t *Table) RebuildSkipping(cols ...string) error { return t.m.RebuildSkipping(cols...) }
 
 // VerifySkipping revalidates skipping metadata against column contents
 // (one O(rows) pass per column), quarantining any column that fails.
-func (t *Table) VerifySkipping(cols ...string) error { return t.eng.VerifySkipping(cols...) }
+func (t *Table) VerifySkipping(cols ...string) error { return t.m.VerifySkipping(cols...) }
 
-// Engine exposes the underlying engine for advanced integration (the
-// experiment harness uses it). Returns nil on a sharded table, whose
-// rows are spread across per-shard engines — use Executor instead.
-func (t *Table) Engine() *engine.Engine {
-	e, _ := t.eng.(*engine.Engine)
-	return e
-}
-
-// Executor exposes the table's execution stack — an *engine.Engine or a
-// sharded scatter-gather manager — behind the sql.Executor surface.
-func (t *Table) Executor() sql.Executor { return t.eng }
+// Executor exposes the table's shard manager behind the sql.Executor
+// surface, for callers that plan queries themselves.
+func (t *Table) Executor() sql.Executor { return t.m }
 
 // toValue converts a native Go value to a typed Value for the target
 // column type.

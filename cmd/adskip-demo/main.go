@@ -42,6 +42,7 @@ import (
 	"adskip/internal/faultinject"
 	"adskip/internal/health"
 	"adskip/internal/obs"
+	"adskip/internal/shard"
 	"adskip/internal/sql"
 	"adskip/internal/stats"
 	"adskip/internal/storage"
@@ -51,57 +52,58 @@ import (
 )
 
 type repl struct {
-	opts    engine.Options
+	opts    shard.Options
 	out     *bufio.Writer
 	perq    bool            // --metrics: print per-query trace after each statement
 	timeout time.Duration   // \timeout: per-statement deadline (0 = none)
 	mon     *health.Monitor // \health: SLO monitor (nil without -slo-* flags)
 
-	// mu guards eng: the REPL loop swaps it on \gen/\load while the
-	// telemetry server's skipmap closure reads it from HTTP goroutines.
+	// mu guards tbl: the REPL loop swaps it on \gen/\load while the
+	// telemetry server's closures read it from HTTP goroutines.
 	mu  sync.Mutex
-	eng *engine.Engine // current table's engine (nil until \gen or \load)
+	tbl *shard.Manager // current 1-shard table (nil until \gen or \load)
 }
 
-// engine returns the current engine under the lock (nil if none).
-func (r *repl) engine() *engine.Engine {
+// table returns the current table under the lock (nil if none).
+func (r *repl) table() *shard.Manager {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.eng
+	return r.tbl
 }
 
 // skipmap is the telemetry server's /skipmap source.
 func (r *repl) skipmap(maxZones int) []obs.SkipmapTable {
-	e := r.engine()
-	if e == nil {
+	m := r.table()
+	if m == nil {
 		return nil
 	}
-	return []obs.SkipmapTable{e.Skipmap(maxZones)}
+	return m.Skipmaps(maxZones)
 }
 
 // adaptation is the telemetry server's /adaptation source: the
-// session-level ledger (it survives \gen/\load engine swaps, like the
-// event log) joined with the current engine's ROI rows.
+// session-level ledger (it survives \gen/\load table swaps, like the
+// event log) joined with the current table's ROI rows.
 func (r *repl) adaptation(maxDead int) obs.AdaptationSnapshot {
+	ledger := r.opts.Engine.Ledger
 	snap := obs.AdaptationSnapshot{
-		Total:   r.opts.Ledger.Seq(),
-		Dropped: r.opts.Ledger.Dropped(),
-		Events:  r.opts.Ledger.Records(),
+		Total:   ledger.Seq(),
+		Dropped: ledger.Dropped(),
+		Events:  ledger.Records(),
 		ROI:     []obs.ColumnROI{},
 	}
-	if e := r.engine(); e != nil {
-		snap.ROI = append(snap.ROI, e.AdaptationROI(maxDead)...)
+	if m := r.table(); m != nil {
+		snap.ROI = append(snap.ROI, m.AdaptationROI(maxDead)...)
 	}
 	return snap
 }
 
-// fillHistory is the sampler's fill callback: the current engine's
+// fillHistory is the sampler's fill callback: the current table's
 // cumulative totals plus the merged latency histogram, same shape the DB
 // facade produces, so the health monitor and /history see one timeline
-// across \gen and \load swaps (counters reset with the engine — the
+// across \gen and \load swaps (counters reset with the table — the
 // monitor's per-tick deltas just see a quiet tick at the swap).
 func (r *repl) fillHistory(s *obs.HistorySample) {
-	e := r.engine()
+	e := r.table()
 	if e == nil {
 		return
 	}
@@ -118,7 +120,7 @@ func (r *repl) fillHistory(s *obs.HistorySample) {
 	}
 	s.LatencyP50 = obs.QuantileFromBuckets(bounds, buckets, 0.50)
 	s.LatencyP95 = obs.QuantileFromBuckets(bounds, buckets, 0.95)
-	s.AdaptEvents = int64(r.opts.Events.Seq())
+	s.AdaptEvents = int64(r.opts.Engine.Events.Seq())
 }
 
 func main() {
@@ -138,30 +140,32 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := engine.Options{
-		StaticZoneSize: *zone,
-		// One registry, event log, and trace rings for the whole session:
-		// \metrics, \events, and the telemetry server survive table
-		// reloads (attach rebuilds the engine).
-		Metrics:            obs.NewRegistry(),
-		Events:             obs.NewEventLog(0),
-		Ledger:             obs.NewLedger(0),
+	// One registry, event log, ledger, trace rings and workload table for
+	// the whole session: \metrics, \events, \top and the telemetry server
+	// survive table reloads (attach rebuilds the table).
+	reg := obs.NewRegistry()
+	opts := shard.Options{
+		Shards:             1,
 		Traces:             obs.NewTraceRing(0),
 		SlowTraces:         obs.NewTraceRing(0),
 		SlowQueryThreshold: *slow,
+		Stats:              stats.New(stats.Options{Registry: reg}),
+		Engine: engine.Options{
+			StaticZoneSize: *zone,
+			Metrics:        reg,
+			Events:         obs.NewEventLog(0),
+			Ledger:         obs.NewLedger(0),
+		},
 	}
-	// Workload analytics share the session registry and, like it, survive
-	// table reloads: \top and /workload aggregate across \gen/\load swaps.
-	opts.Stats = stats.New(stats.Options{Registry: opts.Metrics})
 	switch *policy {
 	case "none":
-		opts.Policy = engine.PolicyNone
+		opts.Engine.Policy = engine.PolicyNone
 	case "static":
-		opts.Policy = engine.PolicyStatic
+		opts.Engine.Policy = engine.PolicyStatic
 	case "adaptive":
-		opts.Policy = engine.PolicyAdaptive
+		opts.Engine.Policy = engine.PolicyAdaptive
 	case "imprint":
-		opts.Policy = engine.PolicyImprint
+		opts.Engine.Policy = engine.PolicyImprint
 	default:
 		fmt.Fprintf(os.Stderr, "adskip-demo: unknown policy %q\n", *policy)
 		os.Exit(2)
@@ -201,7 +205,7 @@ func main() {
 		defer sampler.Stop()
 	}
 	if len(objectives) > 0 {
-		mon, err := health.New(objectives, sampler.Interval(), hcfg, opts.Metrics, nil)
+		mon, err := health.New(objectives, sampler.Interval(), hcfg, reg, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adskip-demo: %v\n", err)
 			os.Exit(2)
@@ -212,10 +216,10 @@ func main() {
 
 	if *serve {
 		src := telemetry.Source{
-			Registry:   opts.Metrics,
+			Registry:   reg,
 			Traces:     opts.Traces,
 			SlowTraces: opts.SlowTraces,
-			Events:     opts.Events.Events,
+			Events:     opts.Engine.Events.Events,
 			Skipmap:    r.skipmap,
 			History:    sampler,
 			Workload:   opts.Stats,
@@ -285,7 +289,7 @@ SQL: SELECT [cols|aggs] FROM data [WHERE ...] [GROUP BY c] [ORDER BY c [DESC]] [
      EXPLAIN SELECT ... shows the plan; EXPLAIN ANALYZE SELECT ... executes and shows actual pruning
 `)
 	case "\\policy":
-		fmt.Fprintf(r.out, "policy: %s\n", r.opts.Policy)
+		fmt.Fprintf(r.out, "policy: %s\n", r.opts.Engine.Policy)
 	case "\\gen":
 		if len(fields) != 3 {
 			fmt.Fprintln(r.out, "usage: \\gen <dist> <rows>")
@@ -305,7 +309,7 @@ SQL: SELECT [cols|aggs] FROM data [WHERE ...] [GROUP BY c] [ORDER BY c [DESC]] [
 		}
 		r.loadCSV(fields[1])
 	case "\\save":
-		if len(fields) != 2 || r.eng == nil {
+		if len(fields) != 2 || r.tbl == nil {
 			fmt.Fprintln(r.out, "usage: \\save <file> (after \\gen or \\load)")
 			return true
 		}
@@ -408,12 +412,16 @@ func (r *repl) gen(dist, rowsStr string) {
 }
 
 func (r *repl) attach(tbl *table.Table) {
-	e := engine.New(tbl, r.opts)
-	if err := e.EnableSkipping(); err != nil {
+	m, err := shard.NewFromTable(tbl, r.opts)
+	if err != nil {
+		fmt.Fprintf(r.out, "error: %v\n", err)
+		return
+	}
+	if err := m.EnableSkipping(); err != nil {
 		fmt.Fprintf(r.out, "error enabling skipping: %v\n", err)
 	}
 	r.mu.Lock()
-	r.eng = e
+	r.tbl = m
 	r.mu.Unlock()
 }
 
@@ -458,7 +466,7 @@ func (r *repl) save(path string) {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	n, err := r.eng.Table().WriteTo(f)
+	n, err := r.tbl.Table().WriteTo(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -470,11 +478,11 @@ func (r *repl) save(path string) {
 }
 
 func (r *repl) skipping(col string) {
-	if r.eng == nil {
+	if r.tbl == nil {
 		fmt.Fprintln(r.out, "no table loaded (\\gen or \\load first)")
 		return
 	}
-	s := r.eng.Skipper(col)
+	s := r.tbl.ShardEngine(1).Skipper(col)
 	if s == nil {
 		fmt.Fprintf(r.out, "no skipper on column %q\n", col)
 		return
@@ -488,12 +496,13 @@ func (r *repl) skipping(col string) {
 }
 
 func (r *repl) stats() {
-	if r.eng == nil {
+	if r.tbl == nil {
 		fmt.Fprintln(r.out, "no table loaded")
 		return
 	}
-	for _, cs := range r.eng.Table().Schema() {
-		s := r.eng.Skipper(cs.Name)
+	e := r.tbl.ShardEngine(1)
+	for _, cs := range e.Table().Schema() {
+		s := e.Skipper(cs.Name)
 		if z, ok := s.(*adaptive.Zonemap); ok {
 			st := z.Stats()
 			fmt.Fprintf(r.out, "%-8s queries=%d splits=%d merges=%d disables=%d enables=%d zones=%d\n",
@@ -506,9 +515,9 @@ func (r *repl) metrics(format string) {
 	var err error
 	switch format {
 	case "prom":
-		err = r.opts.Metrics.WritePrometheus(r.out)
+		err = r.opts.Engine.Metrics.WritePrometheus(r.out)
 	case "json":
-		err = r.opts.Metrics.WriteJSON(r.out)
+		err = r.opts.Engine.Metrics.WriteJSON(r.out)
 	default:
 		fmt.Fprintf(r.out, "unknown format %q (want prom or json)\n", format)
 		return
@@ -519,12 +528,12 @@ func (r *repl) metrics(format string) {
 }
 
 func (r *repl) events(n int) {
-	evs := r.opts.Events.Events()
+	evs := r.opts.Engine.Events.Events()
 	if len(evs) == 0 {
 		fmt.Fprintln(r.out, "no adaptation events yet")
 		return
 	}
-	if dropped := r.opts.Events.Dropped(); dropped > 0 {
+	if dropped := r.opts.Engine.Events.Dropped(); dropped > 0 {
 		fmt.Fprintf(r.out, "(%d older events dropped from the ring)\n", dropped)
 	}
 	if len(evs) > n {
@@ -544,7 +553,7 @@ func (r *repl) events(n int) {
 // skipmap. Parameterized variants of a template collapse into one row;
 // cpu%% is the template's share of total recorded execution time.
 func (r *repl) top() {
-	if r.eng == nil {
+	if r.tbl == nil {
 		fmt.Fprintln(r.out, "no table loaded")
 		return
 	}
@@ -569,7 +578,7 @@ func (r *repl) top() {
 				t.Calls, t.Errors, t.MeanUS, t.P95US, 100*t.SkipRatio, cpu, t.Fingerprint)
 		}
 	}
-	sm := r.eng.Skipmap(0)
+	sm := r.tbl.Skipmaps(0)[0]
 	if len(sm.Columns) == 0 {
 		fmt.Fprintln(r.out, "no skippers (EnableSkipping first)")
 		return
@@ -592,11 +601,11 @@ func (r *repl) top() {
 }
 
 func (r *repl) quarantine() {
-	if r.eng == nil {
+	if r.tbl == nil {
 		fmt.Fprintln(r.out, "no table loaded")
 		return
 	}
-	q := r.eng.Quarantined()
+	q := r.tbl.Quarantined()
 	if len(q) == 0 {
 		fmt.Fprintln(r.out, "no quarantined columns")
 		return
@@ -608,11 +617,11 @@ func (r *repl) quarantine() {
 }
 
 func (r *repl) rebuild(cols []string) {
-	if r.eng == nil {
+	if r.tbl == nil {
 		fmt.Fprintln(r.out, "no table loaded")
 		return
 	}
-	if err := r.eng.RebuildSkipping(cols...); err != nil {
+	if err := r.tbl.RebuildSkipping(cols...); err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
@@ -662,7 +671,7 @@ func (r *repl) health() {
 }
 
 func (r *repl) query(line string) {
-	if r.eng == nil {
+	if r.tbl == nil {
 		fmt.Fprintln(r.out, "no table loaded (\\gen or \\load first)")
 		return
 	}
@@ -673,7 +682,7 @@ func (r *repl) query(line string) {
 		defer cancel()
 	}
 	start := time.Now()
-	res, err := sql.ExecContext(ctx, r.eng, line)
+	res, err := sql.ExecContext(ctx, r.tbl, line)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return

@@ -11,14 +11,12 @@ import (
 	"io"
 	"log/slog"
 	"sync"
-	"time"
 
 	"adskip/internal/adaptive"
 	"adskip/internal/core"
 	"adskip/internal/faultinject"
 	"adskip/internal/imprint"
 	"adskip/internal/obs"
-	"adskip/internal/stats"
 	"adskip/internal/storage"
 	"adskip/internal/table"
 	"adskip/internal/wal"
@@ -86,43 +84,22 @@ type Options struct {
 	// distinguishable by their shard stamp.
 	Ledger *obs.Ledger
 	// Limits bounds each query's resource consumption (zero value = no
-	// limits). Enforced at cooperative checkpoints; see Limits.
+	// limits). Enforced at cooperative checkpoints; see Limits. A caller
+	// that fans one logical query out over several engines passes a shared
+	// Budget to QueryBudget instead.
 	Limits Limits
-	// Admission, when non-nil, bounds the number of concurrently
-	// executing queries. Share one controller across engines (the DB
-	// facade does) to bound catalog-wide concurrency.
-	Admission *Admission
-	// Traces receives every completed query trace. When nil, the engine
-	// creates a private ring of obs.DefaultTraceRingSize entries. Share
-	// one ring across engines (the DB facade does) so the telemetry
-	// server sees catalog-wide history.
-	Traces *obs.TraceRing
-	// SlowTraces receives traces of queries exceeding SlowQueryThreshold.
-	// When nil, the engine creates a private ring.
-	SlowTraces *obs.TraceRing
-	// SlowQueryThreshold marks queries whose total wall clock meets or
-	// exceeds it as slow: the trace is flagged, copied to the slow-query
-	// log, and counted. Zero disables the slow-query log.
-	SlowQueryThreshold time.Duration
-	// Logger receives structured log events: slow queries (warn),
-	// quarantines (error), and adaptation milestones — skipper
-	// built/loaded/rebuilt and arbitration flips at info, per-zone
-	// splits/merges at debug. Nil disables logging entirely (the hot
-	// path pays one nil check).
+	// Logger receives structured log events: quarantines (error) and
+	// adaptation milestones — skipper built/loaded/rebuilt and arbitration
+	// flips at info, per-zone splits/merges at debug. Nil disables logging
+	// entirely (the hot path pays one nil check).
 	Logger *slog.Logger
-	// Stats, when non-nil, receives one workload sample per query that
-	// arrived with a template fingerprint on its context (see
-	// obs.WithTemplate). Share one table across engines (the DB facade
-	// does) for a catalog-wide workload view. Queries without a
-	// fingerprint — direct engine API callers, benchmarks — skip the
-	// attribution path entirely.
-	Stats *stats.Table
 	// Shard is this engine's 1-based shard number when it is one shard of
-	// a sharded table (see internal/shard). 0 (the default) means the
-	// engine owns the whole table. A sharded engine labels every metric
-	// series with shard="N" — per-shard series stay distinct in a shared
-	// registry — and stamps N into the WAL records it writes so recovery
-	// can route each record back to the shard that logged it.
+	// a table split into two or more shards (see internal/shard). 0 (the
+	// default) means the engine owns the whole table. A sharded engine
+	// labels every metric series with shard="N" — per-shard series stay
+	// distinct in a shared registry — and stamps N into the WAL records it
+	// writes so recovery can route each record back to the shard that
+	// logged it.
 	Shard int
 }
 
@@ -166,10 +143,7 @@ type Engine struct {
 	colMu  sync.Mutex
 	colM   map[string]*colMetrics
 	trace  *obs.QueryTrace
-	traces *obs.TraceRing
-	slow   *obs.TraceRing
 	log    *slog.Logger
-	stats  *stats.Table
 
 	// wal, when armed via SetWAL, makes appends and updates durable:
 	// mutations are logged (group-committed) before they touch the
@@ -205,18 +179,9 @@ func New(tbl *table.Table, opts Options) *Engine {
 	if e.ledger == nil {
 		e.ledger = obs.NewLedger(0)
 	}
-	e.traces = opts.Traces
-	if e.traces == nil {
-		e.traces = obs.NewTraceRing(0)
-	}
-	e.slow = opts.SlowTraces
-	if e.slow == nil {
-		e.slow = obs.NewTraceRing(0)
-	}
 	e.m = newEngMetrics(e.reg, tbl.Name(), opts.Shard)
 	e.colM = make(map[string]*colMetrics)
 	e.log = opts.Logger
-	e.stats = opts.Stats
 	return e
 }
 
@@ -231,17 +196,6 @@ func (e *Engine) Events() []obs.Event { return e.events.Events() }
 
 // Ledger returns the adaptation ledger this engine journals into.
 func (e *Engine) Ledger() *obs.Ledger { return e.ledger }
-
-// Traces returns the ring of recently completed query traces.
-func (e *Engine) Traces() *obs.TraceRing { return e.traces }
-
-// SlowTraces returns the slow-query log: traces that exceeded
-// Options.SlowQueryThreshold.
-func (e *Engine) SlowTraces() *obs.TraceRing { return e.slow }
-
-// WorkloadStats returns the per-template workload table this engine
-// records into, or nil when workload analytics is off.
-func (e *Engine) WorkloadStats() *stats.Table { return e.stats }
 
 // EnableSkipping builds skipping metadata for the named columns (all
 // columns when none are named) according to the engine's policy. String

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"runtime/pprof"
 	"time"
 
 	"adskip/internal/bitvec"
@@ -93,56 +92,30 @@ func (e *Engine) Query(q Query) (*Result, error) {
 // skipper panics or self-reports corruption quarantines that skipper and
 // retries once without it (full scan), preserving correctness.
 func (e *Engine) QueryContext(ctx context.Context, q Query) (*Result, error) {
+	return e.QueryBudget(ctx, q, nil)
+}
+
+// QueryBudget is QueryContext charging b instead of a fresh budget from
+// the engine's own Limits (b == nil). A caller that runs one logical
+// query on several engines shares one Budget between them, so the rows
+// scanned, result rows and deadline are bounded per logical query.
+func (e *Engine) QueryBudget(ctx context.Context, q Query, b *Budget) (*Result, error) {
 	if q.Limit < 0 {
 		return nil, ErrBadLimit
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Workload attribution: only when stats are on AND the context
-	// carries a template fingerprint. The common benchmark/harness path
-	// (no fingerprint) pays one nil check and one context lookup at most.
-	if e.stats != nil {
-		if fp := obs.TemplateFromContext(ctx); fp != "" {
-			start := time.Now()
-			var (
-				res *Result
-				err error
-			)
-			pprof.Do(ctx, pprof.Labels(
-				"query_template", fp,
-				"session", obs.SessionFromContext(ctx),
-			), func(ctx context.Context) {
-				res, err = e.queryAdmitted(ctx, q)
-			})
-			if err != nil {
-				e.recordWorkloadError(fp, obs.PlanCachedFromContext(ctx), start)
-			}
-			return res, err
-		}
-	}
-	return e.queryAdmitted(ctx, q)
-}
-
-// queryAdmitted is QueryContext past validation and workload attribution:
-// admission control, the quarantine-retry loop, and terminal error
-// accounting.
-func (e *Engine) queryAdmitted(ctx context.Context, q Query) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		e.m.canceled.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, context.Cause(ctx))
 	}
-	if err := e.opts.Admission.acquire(ctx); err != nil {
-		e.m.canceled.Inc()
-		return nil, err
-	}
-	defer e.opts.Admission.release()
 	e.m.inflight.Add(1)
 	defer e.m.inflight.Add(-1)
 
 	retried := false
 	for {
-		res, err := e.queryOnce(ctx, q)
+		res, err := e.queryOnce(ctx, q, b)
 		if err == nil {
 			return res, nil
 		}
@@ -164,17 +137,22 @@ func (e *Engine) queryAdmitted(ctx context.Context, q Query) (*Result, error) {
 // queryOnce runs one planning + execution attempt under the engine mutex.
 // A panic anywhere in execution is recovered here: skippers that were
 // actively pruning are quarantined (the metadata is the prime corruption
-// suspect) and the error is marked retryable.
-func (e *Engine) queryOnce(ctx context.Context, q Query) (out *Result, err error) {
+// suspect) and the error is marked retryable. A failed attempt hands its
+// result rows back to a shared budget: the retry (or the caller) starts
+// from what the surviving attempts materialized.
+func (e *Engine) queryOnce(ctx context.Context, q Query, b *Budget) (out *Result, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	qc := e.newQctx(ctx, b)
 	var plans []colPlan
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, e.handleExecPanic(plans, &panicError{val: r, stack: debug.Stack()})
 		}
+		if err != nil {
+			qc.releaseResults()
+		}
 	}()
-	qc := e.newQctx(ctx)
 	root := obs.NewSpan("query")
 	tr := &obs.QueryTrace{Table: e.tbl.Name(), Start: root.Start, Root: root,
 		Shard:       e.opts.Shard,
@@ -564,7 +542,7 @@ func (e *Engine) execSegment(qc *qctx, plans []colPlan, res *Result, accs []*agg
 				if err := tk.tick(end - lo); err != nil {
 					return err
 				}
-				if err := qc.checkResult(len(grp.groups)); err != nil {
+				if err := qc.checkGroups(len(grp.groups)); err != nil {
 					return err
 				}
 				lo = end
@@ -646,7 +624,7 @@ func (e *Engine) execSegment(qc *qctx, plans []colPlan, res *Result, accs []*agg
 				return err
 			}
 		}
-		if err := qc.checkResult(len(grp.groups)); err != nil {
+		if err := qc.checkGroups(len(grp.groups)); err != nil {
 			return err
 		}
 		return nil

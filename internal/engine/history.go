@@ -8,18 +8,17 @@ import "adskip/internal/obs"
 // only lock taken is colMu (never e.mu), so sampling proceeds even while
 // a long query holds the engine mutex.
 
-// FillHistory accumulates this engine's totals into s and appends one
-// HistoryColumn per column with resolved metric handles. Counters are
+// FillHistory accumulates this engine's row totals into s and appends
+// one HistoryColumn per column with resolved metric handles. Counters are
 // added (+=) so samples aggregate naturally across the engines of a
-// catalog; SkipRatio and AdaptEvents are left for the caller, which sees
-// the catalog-wide totals (ratios do not sum).
+// catalog; query, slow-query and error counts are the shard manager's
+// (one logical query may run on several engines), and SkipRatio and
+// AdaptEvents are left for the caller, which sees the catalog-wide totals
+// (ratios do not sum).
 func (e *Engine) FillHistory(s *obs.HistorySample) {
-	s.Queries += e.m.queries.Load()
 	s.RowsScanned += e.m.rowsScanned.Load()
 	s.RowsSkipped += e.m.rowsSkipped.Load()
 	s.RowsCovered += e.m.rowsCovered.Load()
-	s.SlowQueries += e.m.slowQueries.Load()
-	s.Errors += e.m.canceled.Load() + e.m.overBudget.Load() + e.m.panics.Load()
 
 	table := e.tbl.Name()
 	e.colMu.Lock()
@@ -41,13 +40,3 @@ func (e *Engine) FillHistory(s *obs.HistorySample) {
 		})
 	}
 }
-
-// LatencyBounds returns the engine latency histogram's bucket bounds
-// (shared across all engines: obs.LatencyBuckets).
-func (e *Engine) LatencyBounds() []float64 { return e.m.latency.Bounds() }
-
-// AccumulateLatency adds the engine's latency bucket counts into dst
-// (len(LatencyBounds())+1 entries), allocation-free, so a caller can
-// merge latency distributions across tables and estimate quantiles with
-// obs.QuantileFromBuckets.
-func (e *Engine) AccumulateLatency(dst []int64) { e.m.latency.AccumulateBuckets(dst) }

@@ -28,10 +28,8 @@ type engMetrics struct {
 	zonesProbed      *obs.Counter
 	skippersUsed     *obs.Counter
 	skippersDeclined *obs.Counter
-	latency          *obs.Histogram
 	selectivity      *obs.Histogram
 	scannedPerQuery  *obs.Histogram
-	slowQueries      *obs.Counter
 
 	// Resilience instrumentation.
 	canceled    *obs.Counter // queries stopped by context cancellation
@@ -65,10 +63,8 @@ func newEngMetrics(reg *obs.Registry, table string, shard int) engMetrics {
 		zonesProbed:      reg.Counter("adskip_zones_probed_total", "Zone metadata probes performed.", ls...),
 		skippersUsed:     reg.Counter("adskip_skippers_used_total", "Predicate columns where skipping participated.", ls...),
 		skippersDeclined: reg.Counter("adskip_skippers_declined_total", "Predicate columns where the skipper declined.", ls...),
-		latency:          reg.Histogram("adskip_query_seconds", "Query wall-clock latency.", obs.LatencyBuckets(), ls...),
 		selectivity:      reg.Histogram("adskip_query_selectivity", "Fraction of table rows matching per query.", obs.RatioBuckets(), ls...),
 		scannedPerQuery:  reg.Histogram("adskip_query_rows_scanned", "Rows read by scan kernels per query.", obs.RowCountBuckets(), ls...),
-		slowQueries:      reg.Counter("adskip_slow_queries_total", "Queries exceeding the slow-query threshold.", ls...),
 		canceled:         reg.Counter("adskip_queries_canceled_total", "Queries stopped by context cancellation.", ls...),
 		overBudget:       reg.Counter("adskip_queries_over_budget_total", "Queries stopped by a resource limit.", ls...),
 		panics:           reg.Counter("adskip_panics_recovered_total", "Execution panics recovered into errors.", ls...),
@@ -227,13 +223,18 @@ func (e *Engine) tracePredicates(tr *obs.QueryTrace, plans []colPlan) {
 			if z.Covered {
 				pt.CoveredWindows++
 			}
+			if tr.Fingerprint != "" && p.active && z.ID != core.NoZoneID {
+				pt.ZoneIDs = append(pt.ZoneIDs, z.ID)
+			}
 		}
 		e.colMetrics(p.name).recordProbe(p)
 	}
 }
 
-// finishTrace closes out the query's trace and charges the query-level
-// metrics. Called with the engine mutex held, at the end of Query.
+// finishTrace closes out the query's trace and charges the engine's scan
+// metrics. Called with the engine mutex held, at the end of Query. The
+// logical query's accounting (latency, slow-query log, trace ring,
+// workload sample) belongs to the shard manager that ran it.
 func (e *Engine) finishTrace(res *Result, tr *obs.QueryTrace, plans []colPlan, n, limit int) {
 	tr.Total = time.Since(tr.Start)
 	if tr.Root != nil {
@@ -262,25 +263,6 @@ func (e *Engine) finishTrace(res *Result, tr *obs.QueryTrace, plans []colPlan, n
 		tr.Predicates[0].Matched = res.Count
 	}
 	res.Trace = tr
-	if th := e.opts.SlowQueryThreshold; th > 0 && tr.Total >= th {
-		tr.Slow = true
-		e.m.slowQueries.Inc()
-		e.slow.Append(tr)
-		if e.log != nil {
-			// The fingerprint, not the raw text, is the grouping key:
-			// parameterized repeats of one template aggregate in the log
-			// instead of flooding it with near-duplicates.
-			e.log.Warn("slow query",
-				"table", tr.Table, "total", tr.Total,
-				"rows_scanned", tr.RowsScanned, "rows_skipped", tr.RowsSkipped,
-				"session", tr.Session, "trace_id", tr.TraceID,
-				"fingerprint", tr.Fingerprint)
-		}
-	}
-	e.traces.Append(tr)
-	if e.stats != nil && tr.Fingerprint != "" {
-		e.recordWorkload(res, tr, plans)
-	}
 
 	e.m.queries.Inc()
 	e.m.rowsScanned.Add(int64(res.Stats.RowsScanned))
@@ -288,7 +270,6 @@ func (e *Engine) finishTrace(res *Result, tr *obs.QueryTrace, plans []colPlan, n
 	e.m.rowsCovered.Add(int64(res.Stats.RowsCovered))
 	e.m.zonesProbed.Add(int64(res.Stats.ZonesProbed))
 	e.m.skippersUsed.Add(int64(res.Stats.SkippersUsed))
-	e.m.latency.Observe(tr.Total.Seconds())
 	e.m.scannedPerQuery.Observe(float64(res.Stats.RowsScanned))
 	if n > 0 {
 		e.m.selectivity.Observe(float64(res.Count) / float64(n))

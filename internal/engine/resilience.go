@@ -49,34 +49,67 @@ type Limits struct {
 // cancellation and budget exhaustion at least once per this many rows.
 const checkpointRows = 1 << 16
 
-// qctx carries one query's cancellation and budget state. It is shared by
-// every goroutine working on the query; the first failure latches so all
-// peers abandon their slices promptly.
-type qctx struct {
-	ctx       context.Context
-	done      <-chan struct{}
+// Budget is one logical query's resource budget: the deadline and the
+// rows-scanned and result-row counts charged against Limits. A query
+// that runs on one engine gets a private budget; a caller that fans one
+// logical query out over several engines creates one with NewBudget and
+// passes it to every engine's QueryBudget, so the limits hold for the
+// query as a whole rather than per engine.
+type Budget struct {
 	deadline  time.Time // from Limits.MaxDuration; zero = none
 	maxRows   int64     // from Limits.MaxRowsScanned; 0 = none
 	maxResult int       // from Limits.MaxResultRows; 0 = none
 	rows      atomic.Int64
-	failure   atomic.Pointer[error]
+	results   atomic.Int64
+}
+
+// NewBudget starts a budget for lim: the MaxDuration clock starts now.
+func NewBudget(lim Limits) *Budget {
+	b := &Budget{}
+	b.init(lim)
+	return b
+}
+
+func (b *Budget) init(lim Limits) {
+	b.maxRows = lim.MaxRowsScanned
+	b.maxResult = lim.MaxResultRows
+	if lim.MaxDuration > 0 {
+		b.deadline = time.Now().Add(lim.MaxDuration)
+	}
+}
+
+// CheckResult enforces the result-row cap against a result size the
+// caller computed itself, such as the distinct groups of a merged GROUP
+// BY (engines sharing a budget check their own groups only).
+func (b *Budget) CheckResult(rows int) error {
+	if b.maxResult > 0 && rows > b.maxResult {
+		return fmt.Errorf("%w: result exceeds %d rows", ErrBudget, b.maxResult)
+	}
+	return nil
+}
+
+// qctx carries one query's cancellation and budget state. It is shared by
+// every goroutine working on the query; the first failure latches so all
+// peers abandon their slices promptly.
+type qctx struct {
+	ctx     context.Context
+	done    <-chan struct{}
+	b       *Budget // own, or a budget shared with other engines
+	own     Budget
+	results int // result rows this attempt has charged to b
+	failure atomic.Pointer[error]
 	// span is the query's scan-stage span; executors attach per-segment
 	// and per-worker child spans to it (StartChild is goroutine-safe).
 	span *obs.Span
 }
 
-// newQctx builds the per-query checkpoint state from ctx and the engine's
-// configured limits.
-func (e *Engine) newQctx(ctx context.Context) *qctx {
-	lim := e.opts.Limits
-	qc := &qctx{
-		ctx:       ctx,
-		done:      ctx.Done(),
-		maxRows:   lim.MaxRowsScanned,
-		maxResult: lim.MaxResultRows,
-	}
-	if lim.MaxDuration > 0 {
-		qc.deadline = time.Now().Add(lim.MaxDuration)
+// newQctx builds the per-query checkpoint state from ctx and b, or from
+// the engine's configured limits when b is nil.
+func (e *Engine) newQctx(ctx context.Context, b *Budget) *qctx {
+	qc := &qctx{ctx: ctx, done: ctx.Done(), b: b}
+	if b == nil {
+		qc.own.init(e.opts.Limits)
+		qc.b = &qc.own
 	}
 	return qc
 }
@@ -102,27 +135,54 @@ func (qc *qctx) check(rows int64) error {
 		return err
 	}
 	faultinject.Sleep(faultinject.ScanDelay) // no-op unless chaos is active
-	if qc.maxRows > 0 && qc.rows.Add(rows) > qc.maxRows {
-		return qc.fail(fmt.Errorf("%w: more than %d rows scanned", ErrBudget, qc.maxRows))
+	b := qc.b
+	if b.maxRows > 0 && b.rows.Add(rows) > b.maxRows {
+		return qc.fail(fmt.Errorf("%w: more than %d rows scanned", ErrBudget, b.maxRows))
 	}
 	select {
 	case <-qc.done:
 		return qc.fail(fmt.Errorf("%w: %v", ErrCanceled, context.Cause(qc.ctx)))
 	default:
 	}
-	if !qc.deadline.IsZero() && time.Now().After(qc.deadline) {
+	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
 		return qc.fail(fmt.Errorf("%w: ran longer than the configured MaxDuration", ErrBudget))
 	}
 	return nil
 }
 
-// checkResult enforces the result-row budget against the current
-// materialized size.
+// checkResult charges the growth of this attempt's materialized result
+// (projection rows, or gathered ORDER BY matches) to the budget and
+// enforces the cap on the total across every engine sharing it.
 func (qc *qctx) checkResult(rows int) error {
-	if qc.maxResult > 0 && rows > qc.maxResult {
-		return qc.fail(fmt.Errorf("%w: result exceeds %d rows", ErrBudget, qc.maxResult))
+	b := qc.b
+	if b.maxResult <= 0 {
+		return nil
+	}
+	total := b.results.Add(int64(rows - qc.results))
+	qc.results = rows
+	if total > int64(b.maxResult) {
+		return qc.fail(fmt.Errorf("%w: result exceeds %d rows", ErrBudget, b.maxResult))
 	}
 	return nil
+}
+
+// checkGroups enforces the result-row cap on this engine's GROUP BY
+// groups. Groups are not charged to a shared budget: the same group can
+// appear on several engines, so their sum overstates the merged result,
+// which the fan-out caller checks with Budget.CheckResult.
+func (qc *qctx) checkGroups(groups int) error {
+	if err := qc.b.CheckResult(groups); err != nil {
+		return qc.fail(err)
+	}
+	return nil
+}
+
+// releaseResults returns a failed attempt's result rows to the budget.
+func (qc *qctx) releaseResults() {
+	if qc.results != 0 {
+		qc.b.results.Add(-int64(qc.results))
+		qc.results = 0
+	}
 }
 
 // ticker accumulates one goroutine's scan progress and runs the shared
@@ -205,8 +265,9 @@ func firstWorkerError(errs []error) error {
 	return first
 }
 
-// Admission bounds the number of concurrently executing queries across
-// the engines that share it. A nil *Admission admits everything.
+// Admission bounds the number of concurrently executing logical queries
+// across the tables that share it (the shard manager admits each query
+// once, before any engine runs). A nil *Admission admits everything.
 type Admission struct {
 	sem     chan struct{}
 	waiting atomic.Int64
@@ -221,9 +282,9 @@ func NewAdmission(n int) *Admission {
 	return &Admission{sem: make(chan struct{}, n)}
 }
 
-// acquire takes an execution slot, waiting until one frees or ctx is
+// Acquire takes an execution slot, waiting until one frees or ctx is
 // done.
-func (a *Admission) acquire(ctx context.Context) error {
+func (a *Admission) Acquire(ctx context.Context) error {
 	if a == nil {
 		return nil
 	}
@@ -244,13 +305,12 @@ func (a *Admission) acquire(ctx context.Context) error {
 	}
 }
 
-// Acquire takes an execution slot, waiting until one frees or ctx is
-// done. Exported for composite executors (the shard manager) that admit
-// one logical query before fanning it out to per-shard engines.
-func (a *Admission) Acquire(ctx context.Context) error { return a.acquire(ctx) }
-
 // Release returns an execution slot taken with Acquire.
-func (a *Admission) Release() { a.release() }
+func (a *Admission) Release() {
+	if a != nil {
+		<-a.sem
+	}
+}
 
 // Waiting reports how many queries are currently blocked waiting for an
 // execution slot. Zero for a nil (unbounded) controller.
@@ -259,13 +319,6 @@ func (a *Admission) Waiting() int64 {
 		return 0
 	}
 	return a.waiting.Load()
-}
-
-// release returns an execution slot.
-func (a *Admission) release() {
-	if a != nil {
-		<-a.sem
-	}
 }
 
 // quarantineRecord remembers why and when a column's skipper was pulled

@@ -186,26 +186,34 @@ func TestLimitsMaxResultRows(t *testing.T) {
 }
 
 func TestAdmissionControl(t *testing.T) {
-	tb := buildTable(t, 500, 9)
 	adm := NewAdmission(1)
-	e := New(tb, Options{Policy: PolicyNone, Admission: adm})
 
-	// Occupy the only slot; a query with a short deadline must give up
+	// Occupy the only slot; a caller with a short deadline must give up
 	// while waiting for admission, not hang.
-	if err := adm.acquire(context.Background()); err != nil {
+	if err := adm.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, err := e.QueryContext(ctx, countQuery("a"))
-	if !errors.Is(err, ErrCanceled) {
+	if err := adm.Acquire(ctx); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err=%v, want ErrCanceled while awaiting admission", err)
 	}
-
-	adm.release()
-	if _, err := e.QueryContext(context.Background(), countQuery("a")); err != nil {
-		t.Fatalf("query after release failed: %v", err)
+	if n := adm.Waiting(); n != 0 {
+		t.Fatalf("Waiting() = %d after the waiter gave up", n)
 	}
+
+	adm.Release()
+	if err := adm.Acquire(context.Background()); err != nil {
+		t.Fatalf("acquire after release failed: %v", err)
+	}
+	adm.Release()
+
+	// A nil controller admits everything.
+	var unbounded *Admission
+	if err := unbounded.Acquire(ctx); err != nil {
+		t.Fatalf("nil admission refused: %v", err)
+	}
+	unbounded.Release()
 }
 
 // faultySkipper lets tests fail specific skipper entry points.
@@ -547,7 +555,7 @@ func TestVerifySkippingDetectsCorruption(t *testing.T) {
 
 func TestQctxCheckpointBounds(t *testing.T) {
 	e := New(buildIntTable(t, 10), Options{Limits: Limits{MaxRowsScanned: 100_000}})
-	qc := e.newQctx(context.Background())
+	qc := e.newQctx(context.Background(), nil)
 	tk := &ticker{qc: qc}
 	rows := 0
 	for {

@@ -44,7 +44,7 @@ func Ext1Parallel(cfg Config) (*Table, error) {
 		}
 		e := engine.New(tbl, engine.Options{
 			Policy: policy, Adaptive: cfg.adaptiveConfig(), Parallelism: workers,
-			Metrics: cfg.Metrics, Traces: cfg.Traces,
+			Metrics: cfg.Metrics,
 		})
 		if err := e.EnableSkipping("v"); err != nil {
 			panic(err)
@@ -54,7 +54,7 @@ func Ext1Parallel(cfg Config) (*Table, error) {
 	var serialFull, serialNone float64
 	for _, workers := range []int{1, 2, 4, 8} {
 		eUni := build(uniform, engine.PolicyNone, workers)
-		srUni, err := runStream(eUni, workload.NewGen(genSpec), cfg.Queries/4)
+		srUni, err := cfg.runStream(eUni, workload.NewGen(genSpec), cfg.Queries/4)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +64,7 @@ func Ext1Parallel(cfg Config) (*Table, error) {
 			serialNone = uni
 		}
 		eClu := build(clustered, engine.PolicyAdaptive, workers)
-		srClu, err := runStream(eClu, workload.NewGen(genSpec), cfg.Queries)
+		srClu, err := cfg.runStream(eClu, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +121,7 @@ func Ext2Imprints(cfg Config) (*Table, error) {
 			r.Lo += lo0
 			r.Hi += lo0
 			start := time.Now()
-			res, err := e.Query(countQuery(r))
+			res, err := cfg.query(e, countQuery(r))
 			if err != nil {
 				return sr, err
 			}

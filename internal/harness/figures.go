@@ -33,7 +33,7 @@ func Fig1Distributions(cfg Config) (*Table, error) {
 			gen := workload.NewGen(workload.QuerySpec{
 				Kind: workload.UniformRange, Domain: domain, Selectivity: 0.01, Seed: cfg.Seed + 1,
 			})
-			sr, err := runStream(e, gen, cfg.Queries)
+			sr, err := cfg.runStream(e, gen, cfg.Queries)
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +92,7 @@ func Fig2Convergence(cfg Config) (*Table, error) {
 			zonesAt = make(map[int]int)
 			var sr streamResult
 			for i := 0; i < cfg.Queries; i++ {
-				one, err := runStream(e, gen, 1)
+				one, err := cfg.runStream(e, gen, 1)
 				if err != nil {
 					return nil, err
 				}
@@ -102,7 +102,7 @@ func Fig2Convergence(cfg Config) (*Table, error) {
 			srs = append(srs, sr)
 			continue
 		}
-		sr, err := runStream(e, gen, cfg.Queries)
+		sr, err := cfg.runStream(e, gen, cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
@@ -162,19 +162,19 @@ func Fig3Selectivity(cfg Config) (*Table, error) {
 		genSpec := workload.QuerySpec{
 			Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: sel, Seed: cfg.Seed + 3,
 		}
-		srNone, err := runStream(none, workload.NewGen(genSpec), cfg.Queries)
+		srNone, err := cfg.runStream(none, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
-		srAdp, err := runStream(adp, workload.NewGen(genSpec), cfg.Queries)
+		srAdp, err := cfg.runStream(adp, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
-		srNoneSum, err := runStreamAgg(none, workload.NewGen(genSpec), cfg.Queries)
+		srNoneSum, err := cfg.runStreamAgg(none, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
-		srAdpSum, err := runStreamAgg(adp, workload.NewGen(genSpec), cfg.Queries)
+		srAdpSum, err := cfg.runStreamAgg(adp, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +220,7 @@ func Fig4Granularity(cfg Config) (*Table, error) {
 		c := cfg
 		c.StaticZoneRows = zs
 		e := buildEngineFromValues(c, vals, engine.PolicyStatic)
-		sr, err := runStream(e, workload.NewGen(genSpec), cfg.Queries)
+		sr, err := cfg.runStream(e, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +234,7 @@ func Fig4Granularity(cfg Config) (*Table, error) {
 		})
 	}
 	adp := buildEngineFromValues(cfg, vals, engine.PolicyAdaptive)
-	sr, err := runStream(adp, workload.NewGen(genSpec), cfg.Queries)
+	sr, err := cfg.runStream(adp, workload.NewGen(genSpec), cfg.Queries)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +292,7 @@ func Fig5Drift(cfg Config) (*Table, error) {
 			splitsAt = make([]int, cfg.Queries)
 			az := e.Skipper("v").(*adaptive.Zonemap)
 			for i := 0; i < cfg.Queries; i++ {
-				one, err := runStream(e, gen, 1)
+				one, err := cfg.runStream(e, gen, 1)
 				if err != nil {
 					return nil, err
 				}
@@ -302,7 +302,7 @@ func Fig5Drift(cfg Config) (*Table, error) {
 			srs = append(srs, sr)
 			continue
 		}
-		sr, err := runStream(e, gen, cfg.Queries)
+		sr, err := cfg.runStream(e, gen, cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +367,7 @@ func Fig6Adversarial(cfg Config) (*Table, error) {
 			runCfg.StaticZoneRows = c.zoneRows
 		}
 		e := buildEngineFromValues(runCfg, vals, c.policy)
-		sr, err := runStream(e, workload.NewGen(genSpec), cfg.Queries)
+		sr, err := cfg.runStream(e, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
@@ -445,7 +445,7 @@ func Fig7Appends(cfg Config) (*Table, error) {
 				}
 				appended++
 			}
-			one, err := runStream(e, gen, 1)
+			one, err := cfg.runStream(e, gen, 1)
 			if err != nil {
 				return nil, err
 			}

@@ -55,7 +55,7 @@ func GateRun(cfg Config) (GateStats, error) {
 	gen := workload.NewGen(workload.QuerySpec{
 		Kind: workload.UniformRange, Domain: domain, Selectivity: 0.01, Seed: cfg.Seed + 1,
 	})
-	sr, err := runStream(e, gen, cfg.Queries)
+	sr, err := cfg.runStream(e, gen, cfg.Queries)
 	if err != nil {
 		return GateStats{}, err
 	}

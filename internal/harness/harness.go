@@ -33,7 +33,7 @@ type Config struct {
 	Metrics *obs.Registry
 	// Traces, when set, collects every experiment query's trace into one
 	// shared ring, so the bench CLI's -serve telemetry endpoint can show
-	// live traces mid-run. Nil keeps traces per-engine.
+	// live traces mid-run. Nil keeps no traces.
 	Traces *obs.TraceRing
 }
 
@@ -210,12 +210,20 @@ func buildEngineFromValues(cfg Config, vals []int64, policy engine.Policy) *engi
 		StaticZoneSize: cfg.StaticZoneRows,
 		Adaptive:       cfg.adaptiveConfig(),
 		Metrics:        cfg.Metrics,
-		Traces:         cfg.Traces,
 	})
 	if err := e.EnableSkipping("v"); err != nil {
 		panic(err)
 	}
 	return e
+}
+
+// query runs q on the reference engine e and keeps its trace in Traces.
+func (c Config) query(e *engine.Engine, q engine.Query) (*engine.Result, error) {
+	res, err := e.Query(q)
+	if err == nil && c.Traces != nil {
+		c.Traces.Append(res.Trace)
+	}
+	return res, err
 }
 
 // countQuery builds the COUNT(*) range query the streams use.
@@ -242,7 +250,7 @@ type streamResult struct {
 // COUNT(*): covered windows still avoid predicate evaluation but must read
 // data to aggregate, so this stream isolates pure skipping benefit from
 // the covered-count short-circuit.
-func runStreamAgg(e *engine.Engine, gen *workload.Gen, q int) (streamResult, error) {
+func (c Config) runStreamAgg(e *engine.Engine, gen *workload.Gen, q int) (streamResult, error) {
 	var sr streamResult
 	sr.perQueryNs = make([]int64, 0, q)
 	for i := 0; i < q; i++ {
@@ -253,7 +261,7 @@ func runStreamAgg(e *engine.Engine, gen *workload.Gen, q int) (streamResult, err
 			Aggs: []engine.Agg{{Kind: engine.Sum, Col: "v"}},
 		}
 		start := time.Now()
-		res, err := e.Query(query)
+		res, err := c.query(e, query)
 		if err != nil {
 			return sr, err
 		}
@@ -270,13 +278,13 @@ func runStreamAgg(e *engine.Engine, gen *workload.Gen, q int) (streamResult, err
 }
 
 // runStream executes q queries from gen against e, timing each.
-func runStream(e *engine.Engine, gen *workload.Gen, q int) (streamResult, error) {
+func (c Config) runStream(e *engine.Engine, gen *workload.Gen, q int) (streamResult, error) {
 	var sr streamResult
 	sr.perQueryNs = make([]int64, 0, q)
 	for i := 0; i < q; i++ {
 		r := gen.Next()
 		start := time.Now()
-		res, err := e.Query(countQuery(r))
+		res, err := c.query(e, countQuery(r))
 		if err != nil {
 			return sr, err
 		}

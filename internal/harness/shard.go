@@ -13,12 +13,6 @@ import (
 	"adskip/internal/workload"
 )
 
-// querier is the surface Ext3Sharded measures: a single engine or a
-// shard manager, both of which execute engine.Query values.
-type querier interface {
-	Query(q engine.Query) (*engine.Result, error)
-}
-
 // Ext3Sharded is an extension beyond the paper: sharded scatter-gather
 // execution with shard-level pruning. Each shard owns an adaptive
 // zonemap over its key range, and the manager prunes whole shards by
@@ -45,11 +39,15 @@ func Ext3Sharded(cfg Config) (*Table, error) {
 		Kind: workload.HotRange, Domain: domain, Selectivity: 0.01,
 		HotFrac: 0.9, Seed: cfg.Seed + 40,
 	}
-	eo := engine.Options{
-		Policy: engine.PolicyAdaptive, Adaptive: cfg.adaptiveConfig(),
-		Metrics: cfg.Metrics, Traces: cfg.Traces,
+	opts := func(shards int) shard.Options {
+		return shard.Options{
+			Shards: shards, Key: "v", Mode: shard.ModeRange, Traces: cfg.Traces,
+			Engine: engine.Options{
+				Policy: engine.PolicyAdaptive, Adaptive: cfg.adaptiveConfig(), Metrics: cfg.Metrics,
+			},
+		}
 	}
-	build := func(shards int) (querier, error) {
+	build := func(shards int) (*shard.Manager, error) {
 		tbl := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
 		col, _ := tbl.Column("v")
 		for _, x := range vals {
@@ -57,13 +55,7 @@ func Ext3Sharded(cfg Config) (*Table, error) {
 				return nil, err
 			}
 		}
-		if shards <= 1 {
-			e := engine.New(tbl, eo)
-			return e, e.EnableSkipping("v")
-		}
-		m, err := shard.NewFromTable(tbl, shard.Options{
-			Shards: shards, Key: "v", Mode: shard.ModeRange, Engine: eo,
-		})
+		m, err := shard.NewFromTable(tbl, opts(shards))
 		if err != nil {
 			return nil, err
 		}
@@ -87,20 +79,17 @@ func Ext3Sharded(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			sr.perQueryNs = append(sr.perQueryNs, time.Since(start).Nanoseconds())
-			scanned += int64(res.Stats.ShardsScanned)
+			// A 1-shard table reports no shard stats; it always scans its
+			// one shard.
+			scanned += int64(max(res.Stats.ShardsScanned, 1))
 			pruned += int64(res.Stats.ShardsPruned)
 		}
-		if shards <= 1 {
-			// The unsharded engine reports no shard stats; one "shard" is
-			// always scanned.
-			scanned, pruned = int64(cfg.Queries), 0
-		}
 		med := sr.medianNs(cfg.Queries/2, cfg.Queries)
-		rps, err := appendThroughput(shards, eo, cfg)
+		rps, err := appendThroughput(cfg, opts(shards))
 		if err != nil {
 			return nil, err
 		}
-		if shards <= 1 {
+		if shards == 1 {
 			base, baseAppend = med, rps
 		}
 		t.Rows = append(t.Rows, []string{
@@ -122,27 +111,16 @@ func Ext3Sharded(cfg Config) (*Table, error) {
 
 // appendThroughput measures batched concurrent ingest: 4 writers append
 // disjoint batches as fast as they can; returns rows per second.
-func appendThroughput(shards int, eo engine.Options, cfg Config) (float64, error) {
+func appendThroughput(cfg Config, opts shard.Options) (float64, error) {
 	const writers = 4
 	rows := cfg.Rows / 4
 	if rows > 1<<18 {
 		rows = 1 << 18
 	}
 	perWriter := rows / writers
-	tbl := table.MustNew("a", table.Schema{{Name: "v", Type: storage.Int64}})
-	var dst interface {
-		AppendRows(rows [][]storage.Value) error
-	}
-	if shards <= 1 {
-		dst = engine.New(tbl, eo)
-	} else {
-		m, err := shard.NewFromTable(tbl, shard.Options{
-			Shards: shards, Key: "v", Mode: shard.ModeRange, Engine: eo,
-		})
-		if err != nil {
-			return 0, err
-		}
-		dst = m
+	dst, err := shard.New("a", table.Schema{{Name: "v", Type: storage.Int64}}, opts)
+	if err != nil {
+		return 0, err
 	}
 	const batch = 8192
 	var wg sync.WaitGroup

@@ -55,7 +55,7 @@ func Tab1Metadata(cfg Config) (*Table, error) {
 	gen := workload.NewGen(workload.QuerySpec{
 		Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 8,
 	})
-	if _, err := runStream(e, gen, cfg.Queries); err != nil {
+	if _, err := cfg.runStream(e, gen, cfg.Queries); err != nil {
 		return nil, err
 	}
 	md = e.Skipper("v").Metadata()
@@ -89,7 +89,7 @@ func Tab2Summary(cfg Config) (*Table, error) {
 			gen := workload.NewGen(workload.QuerySpec{
 				Kind: workload.UniformRange, Domain: domain, Selectivity: 0.01, Seed: cfg.Seed + 9,
 			})
-			sr, err := runStream(e, gen, cfg.Queries)
+			sr, err := cfg.runStream(e, gen, cfg.Queries)
 			if err != nil {
 				return nil, err
 			}
@@ -139,7 +139,7 @@ func Tab3MultiColumn(cfg Config) (*Table, error) {
 		}
 		e := engine.New(tbl, engine.Options{
 			Policy: policy, StaticZoneSize: cfg.StaticZoneRows, Adaptive: cfg.adaptiveConfig(),
-			Metrics: cfg.Metrics, Traces: cfg.Traces,
+			Metrics: cfg.Metrics,
 		})
 		if err := e.EnableSkipping(); err != nil {
 			panic(err)
@@ -176,7 +176,7 @@ func Tab3MultiColumn(cfg Config) (*Table, error) {
 			var scanned int64
 			for _, q := range queries {
 				start := time.Now()
-				res, err := e.Query(q)
+				res, err := cfg.query(e, q)
 				if err != nil {
 					return nil, err
 				}
@@ -236,7 +236,7 @@ func Abl1Mechanisms(cfg Config) (*Table, error) {
 	genSpec := workload.QuerySpec{
 		Kind: workload.UniformRange, Domain: int64(cfg.Rows), Selectivity: 0.01, Seed: cfg.Seed + 10,
 	}
-	srNone, err := runStream(noneEng, workload.NewGen(genSpec), cfg.Queries)
+	srNone, err := cfg.runStream(noneEng, workload.NewGen(genSpec), cfg.Queries)
 	if err != nil {
 		return nil, err
 	}
@@ -252,19 +252,19 @@ func Abl1Mechanisms(cfg Config) (*Table, error) {
 					panic(err)
 				}
 			}
-			e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg, Metrics: cfg.Metrics, Traces: cfg.Traces})
+			e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg, Metrics: cfg.Metrics})
 			if err := e.EnableSkipping("v"); err != nil {
 				panic(err)
 			}
 			return e
 		}
 		eClu := mk(clustered)
-		srClu, err := runStream(eClu, workload.NewGen(genSpec), cfg.Queries)
+		srClu, err := cfg.runStream(eClu, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
 		eUni := mk(uniform)
-		srUni, err := runStream(eUni, workload.NewGen(genSpec), cfg.Queries)
+		srUni, err := cfg.runStream(eUni, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}
@@ -309,11 +309,11 @@ func Abl2SplitFanout(cfg Config) (*Table, error) {
 				panic(err)
 			}
 		}
-		e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg, Metrics: cfg.Metrics, Traces: cfg.Traces})
+		e := engine.New(tbl, engine.Options{Policy: engine.PolicyAdaptive, Adaptive: acfg, Metrics: cfg.Metrics})
 		if err := e.EnableSkipping("v"); err != nil {
 			panic(err)
 		}
-		sr, err := runStream(e, workload.NewGen(genSpec), cfg.Queries)
+		sr, err := cfg.runStream(e, workload.NewGen(genSpec), cfg.Queries)
 		if err != nil {
 			return nil, err
 		}

@@ -116,6 +116,11 @@ type PredicateTrace struct {
 	NotSkippedOverlap      int `json:"not_skipped_overlap,omitempty"`
 	NotSkippedWidened      int `json:"not_skipped_widened,omitempty"`
 	NotSkippedNullStraddle int `json:"not_skipped_null_straddle,omitempty"`
+
+	// ZoneIDs lists the feedback identities of the candidate zones an
+	// active skipper emitted, for the workload zone-touch sketch. Filled
+	// only for queries attributed to a template; not serialized.
+	ZoneIDs []int `json:"-"`
 }
 
 // Lines renders the trace as aligned human-readable lines. Durations are

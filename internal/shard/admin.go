@@ -6,45 +6,44 @@ import (
 	"io"
 
 	"adskip/internal/core"
+	"adskip/internal/engine"
 	"adskip/internal/obs"
 )
 
 // Administrative surface: the facade drives skipping lifecycle,
-// introspection, and history sampling through the same methods a plain
-// engine exposes; the Manager fans each out across its shards.
+// introspection, and history sampling through the same methods an engine
+// exposes; the Manager fans each out across its shards.
+
+// each runs fn on every shard, joining the failures. With one shard the
+// engine's error comes back as is; with more each is prefixed by its
+// shard number.
+func (m *Manager) each(fn func(e *engine.Engine) error) error {
+	if len(m.shards) == 1 {
+		return fn(m.shards[0].eng)
+	}
+	var errs error
+	for _, s := range m.shards {
+		if err := fn(s.eng); err != nil {
+			errs = errors.Join(errs, fmt.Errorf("shard %d: %w", s.id, err))
+		}
+	}
+	return errs
+}
 
 // EnableSkipping builds skipping metadata on every shard for the named
 // columns (all when none given).
 func (m *Manager) EnableSkipping(cols ...string) error {
-	var errs error
-	for _, s := range m.shards {
-		if err := s.eng.EnableSkipping(cols...); err != nil {
-			errs = errors.Join(errs, fmt.Errorf("shard %d: %w", s.id, err))
-		}
-	}
-	return errs
+	return m.each(func(e *engine.Engine) error { return e.EnableSkipping(cols...) })
 }
 
 // RebuildSkipping reconstructs skipping metadata on every shard.
 func (m *Manager) RebuildSkipping(cols ...string) error {
-	var errs error
-	for _, s := range m.shards {
-		if err := s.eng.RebuildSkipping(cols...); err != nil {
-			errs = errors.Join(errs, fmt.Errorf("shard %d: %w", s.id, err))
-		}
-	}
-	return errs
+	return m.each(func(e *engine.Engine) error { return e.RebuildSkipping(cols...) })
 }
 
 // VerifySkipping revalidates every shard's skipping metadata.
 func (m *Manager) VerifySkipping(cols ...string) error {
-	var errs error
-	for _, s := range m.shards {
-		if err := s.eng.VerifySkipping(cols...); err != nil {
-			errs = errors.Join(errs, fmt.Errorf("shard %d: %w", s.id, err))
-		}
-	}
-	return errs
+	return m.each(func(e *engine.Engine) error { return e.VerifySkipping(cols...) })
 }
 
 // SkipperMetadata merges per-shard metadata per column: zone and byte
@@ -68,9 +67,13 @@ func (m *Manager) SkipperMetadata() map[string]core.Metadata {
 	return out
 }
 
-// Quarantined reports columns benched on any shard, the per-shard causes
+// Quarantined reports columns benched on any shard. With one shard the
+// engine's causes come back as is; with more, the per-shard causes are
 // joined per column.
 func (m *Manager) Quarantined() map[string]error {
+	if len(m.shards) == 1 {
+		return m.shards[0].eng.Quarantined()
+	}
 	out := make(map[string]error)
 	for _, s := range m.shards {
 		for col, err := range s.eng.Quarantined() {
@@ -80,22 +83,34 @@ func (m *Manager) Quarantined() map[string]error {
 	return out
 }
 
-// SaveSkipper is unsupported on sharded tables: each shard refines its
-// own zonemap against its own slice of the data, so a single snapshot
-// has no meaning across a reshard.
+// SaveSkipper serializes a 1-shard table's learned adaptive zonemap. It
+// is unsupported with more shards: each shard refines its own zonemap
+// against its own slice of the data, so a single snapshot has no meaning
+// across a reshard.
 func (m *Manager) SaveSkipper(col string, w io.Writer) error {
+	if len(m.shards) == 1 {
+		return m.shards[0].eng.SaveSkipper(col, w)
+	}
 	return fmt.Errorf("shard: skipping metadata snapshots are per-shard; not supported on sharded tables (column %q)", col)
 }
 
-// LoadSkipper is unsupported on sharded tables (see SaveSkipper).
+// LoadSkipper restores a 1-shard table's adaptive zonemap (see
+// SaveSkipper).
 func (m *Manager) LoadSkipper(col string, r io.Reader) error {
+	if len(m.shards) == 1 {
+		return m.shards[0].eng.LoadSkipper(col, r)
+	}
 	return fmt.Errorf("shard: skipping metadata snapshots are per-shard; not supported on sharded tables (column %q)", col)
 }
 
-// Skipmaps returns one skipping-effectiveness snapshot per shard, each
-// stamped with its 1-based shard number and the total shard count — the
-// per-shard dimension behind /skipmap?shard=N.
+// Skipmaps returns one skipping-effectiveness snapshot per shard. With
+// two or more shards each is stamped with its 1-based shard number and
+// the total shard count — the per-shard dimension behind
+// /skipmap?shard=N; a 1-shard table's snapshot carries neither.
 func (m *Manager) Skipmaps(maxZones int) []obs.SkipmapTable {
+	if len(m.shards) == 1 {
+		return []obs.SkipmapTable{m.shards[0].eng.Skipmap(maxZones)}
+	}
 	out := make([]obs.SkipmapTable, 0, len(m.shards))
 	for _, s := range m.shards {
 		t := s.eng.Skipmap(maxZones)
@@ -106,26 +121,21 @@ func (m *Manager) Skipmaps(maxZones int) []obs.SkipmapTable {
 	return out
 }
 
-// FillHistory folds the sharded table into one adaptation-timeline
-// sample. Row totals sum across shards; query, slow-query, and error
-// counts come from the Manager's logical counters (each logical query
-// runs up to Shards shard scans — counting those would inflate the
-// timeline); per-column state stays per shard (each engine stamps its
-// 1-based shard number into its HistoryColumns), so the timeline — and
-// the /history?shard=N filter — can tell one shard's structure from
+// FillHistory folds the table into one adaptation-timeline sample. Row
+// totals sum across shards; query, slow-query, and error counts are the
+// Manager's logical counters (each logical query runs up to Shards shard
+// scans — counting those would inflate the timeline); per-column state
+// stays per shard (each engine of a table with two or more shards stamps
+// its 1-based shard number into its HistoryColumns), so the timeline —
+// and the /history?shard=N filter — can tell one shard's structure from
 // another's. The sampler sorts the merged columns.
 func (m *Manager) FillHistory(s *obs.HistorySample) {
-	var scratch obs.HistorySample
 	for _, sh := range m.shards {
-		sh.eng.FillHistory(&scratch)
+		sh.eng.FillHistory(s)
 	}
-	s.RowsScanned += scratch.RowsScanned
-	s.RowsSkipped += scratch.RowsSkipped
-	s.RowsCovered += scratch.RowsCovered
-	s.Queries += m.mQueries.Load()
+	s.Queries += m.queries.Load()
 	s.SlowQueries += m.mSlow.Load()
 	s.Errors += m.errQueries.Load()
-	s.Columns = append(s.Columns, scratch.Columns...)
 }
 
 // AdaptationROI returns every shard's per-column adaptation ROI rows
@@ -139,10 +149,8 @@ func (m *Manager) AdaptationROI(maxDead int) []obs.ColumnROI {
 	return out
 }
 
-// LatencyBounds returns the logical latency histogram's bucket bounds.
-func (m *Manager) LatencyBounds() []float64 { return m.mLatency.Bounds() }
-
-// AccumulateLatency adds the LOGICAL query latency buckets into dst.
-// Per-shard scan latencies stay out: they would count one query up to
-// Shards times at per-shard durations and drag the quantiles down.
+// AccumulateLatency adds the LOGICAL query latency buckets into dst
+// (len(obs.LatencyBuckets())+1 entries), allocation-free, so a caller can
+// merge latency distributions across tables and estimate quantiles with
+// obs.QuantileFromBuckets.
 func (m *Manager) AccumulateLatency(dst []int64) { m.mLatency.AccumulateBuckets(dst) }

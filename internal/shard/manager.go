@@ -1,11 +1,18 @@
-// Package shard implements the sharded scatter-gather engine: a Manager
-// partitions one logical table into per-core shards, each backed by its
-// own engine.Engine with private adaptive zonemap state, and executes
-// queries by (1) pruning shards whose observed key bounds cannot
+// Package shard is the one query path of every table: a Manager owns a
+// logical table of N >= 1 shards, each backed by its own engine.Engine
+// with private adaptive zonemap state, and is the only owner of
+// query-level accounting — admission, pprof template labels, the
+// workload sample, the trace and slow-query rings, the slow-query log,
+// the adskip_query_seconds histogram, history counts and the EXPLAIN
+// ANALYZE footers. The engines are pure shard executors.
+//
+// A 1-shard table runs every query and append straight on its engine.
+// With N >= 2 a query (1) prunes shards whose observed key bounds cannot
 // intersect the predicate — data skipping one level above zones — then
-// (2) fanning the scan out to the surviving shards on parallel workers
-// with cooperative cancellation, and (3) merging the partial results
-// with a deterministic output order.
+// (2) runs a lone surviving shard inline, or fans the scan out to the
+// survivors on parallel workers with cooperative cancellation and one
+// shared resource budget, and (3) merges the partial results with a
+// deterministic output order.
 //
 // Shard pruning is correct independently of routing quality: each shard
 // tracks the observed min/max key codes (and NULL-key count) of the rows
@@ -79,21 +86,41 @@ const learnRowsPerShard = 8
 
 // Options configures a Manager.
 type Options struct {
-	// Shards is the shard count; must be >= 2 (a 1-shard table is a
-	// plain engine — use that directly).
+	// Shards is the shard count; must be >= 1. One shard is an unsharded
+	// table: no shard key, no shard pruning, and an engine whose metrics
+	// and WAL records carry no shard number.
 	Shards int
 	// Key names the shard key column. It must be an Int64 or Float64
 	// column (string dictionary codes are not comparable across shards).
-	// "" picks the first numeric column of the schema.
+	// "" picks the first numeric column of the schema. Ignored with one
+	// shard.
 	Key string
 	// Mode is the routing mode (default ModeRange).
 	Mode Mode
-	// Engine is the per-shard engine configuration. The Manager overrides
-	// per-shard fields: Shard is stamped 1..Shards, Stats and Admission
-	// are held at the Manager (one workload sample and one admission slot
-	// per logical query), and Traces/SlowTraces become private per-shard
-	// rings — the Manager appends the merged trace to the rings given
-	// here.
+	// Admission, when non-nil, bounds the number of concurrently
+	// executing logical queries. Share one controller across tables (the
+	// DB facade does) to bound catalog-wide concurrency.
+	Admission *engine.Admission
+	// Traces receives every completed logical query trace. When nil, the
+	// Manager creates a private ring. Share one ring across tables (the
+	// DB facade does) so the telemetry server sees catalog-wide history.
+	Traces *obs.TraceRing
+	// SlowTraces receives traces of queries exceeding SlowQueryThreshold.
+	// When nil, the Manager creates a private ring.
+	SlowTraces *obs.TraceRing
+	// SlowQueryThreshold marks queries whose total wall clock meets or
+	// exceeds it as slow: the trace is flagged, copied to the slow-query
+	// log, counted, and logged at warn. Zero disables the slow-query log.
+	SlowQueryThreshold time.Duration
+	// Stats, when non-nil, receives one workload sample per logical query
+	// that arrived with a template fingerprint on its context (see
+	// obs.WithTemplate). Queries without a fingerprint skip the
+	// attribution path entirely.
+	Stats *stats.Table
+	// Engine is the per-shard engine configuration. The Manager stamps
+	// Shard 1..Shards when there are two or more shards, shares Metrics
+	// and Ledger between its engines (creating them when nil), and
+	// enforces Limits once per logical query.
 	Engine engine.Options
 }
 
@@ -132,24 +159,26 @@ func (s *shardState) widen(lo, hi int64, seen bool, nulls int64) {
 	s.mu.Unlock()
 }
 
-// Manager is a sharded table: a fixed set of per-shard engines behind
-// the same query surface as one engine (it implements sql.Executor).
-// All methods are safe for concurrent use; appends to distinct shards
-// and queries against distinct shards proceed in parallel.
+// Manager is a table of one or more shards behind the query surface of
+// one engine (it implements sql.Executor). All methods are safe for
+// concurrent use; appends to distinct shards and queries against
+// distinct shards proceed in parallel.
 type Manager struct {
 	name   string
-	proto  *table.Table // schema-only prototype for planning
+	proto  *table.Table // planning schema: the data table itself with one shard
 	shards []*shardState
 	key    string
 	keyIdx int
 	mode   Mode
 
 	admission *engine.Admission
+	limits    engine.Limits
 	traces    *obs.TraceRing
 	slow      *obs.TraceRing
 	slowThr   time.Duration
 	log       *slog.Logger
 	stats     *stats.Table
+	ledger    *obs.Ledger
 	reg       *obs.Registry
 
 	// Range routing state: nil bounds means not yet learned (round-robin
@@ -159,33 +188,44 @@ type Manager struct {
 	bounds  []int64
 	rr      int
 
+	// Shard-level series, registered only with two or more shards so a
+	// 1-shard table exposes exactly an unsharded table's series.
 	mPruned  *obs.Counter
 	mScanned *obs.Counter
 	mQueries *obs.Counter
-	mSlow    *obs.Counter
+
+	mSlow *obs.Counter
 	// mLatency is the LOGICAL query latency (admission to merged result),
-	// registered under the same identity an unsharded table would use.
-	// The per-shard engines record their own scan latencies under
-	// shard="N" labels; mixing those into history quantiles would count
-	// one query N times at per-shard durations.
+	// labelled by table only, whatever the shard count.
 	mLatency *obs.Histogram
-	// errQueries counts failed logical queries for the history sampler
-	// (per-shard engines would over-count: one cancellation fails every
-	// in-flight shard scan).
+	// queries and errQueries count succeeded and failed logical queries
+	// for the history sampler: one logical query may run on several
+	// engines, so per-engine counts would over-count.
+	queries    atomic.Int64
 	errQueries atomic.Int64
 }
 
-// New creates an empty sharded table with the given schema.
+// New creates an empty table of opts.Shards shards with the given schema.
 func New(name string, schema table.Schema, opts Options) (*Manager, error) {
-	if opts.Shards < 2 {
-		return nil, fmt.Errorf("shard: %d shards (need >= 2; use a plain engine for 1)", opts.Shards)
-	}
-	proto, err := table.New(name, schema)
+	tbl, err := table.New(name, schema)
 	if err != nil {
 		return nil, err
 	}
+	return newManager(tbl, opts)
+}
+
+// newManager builds the Manager around tbl: with one shard tbl becomes
+// the shard's table, otherwise it serves as the planning schema and the
+// shards start empty.
+func newManager(tbl *table.Table, opts Options) (*Manager, error) {
+	name, schema := tbl.Name(), tbl.Schema()
+	if opts.Shards < 1 {
+		return nil, fmt.Errorf("shard: %d shards (need >= 1)", opts.Shards)
+	}
 	keyIdx := -1
-	if opts.Key == "" {
+	if opts.Shards == 1 {
+		opts.Key = ""
+	} else if opts.Key == "" {
 		for i, cs := range schema {
 			if cs.Type == storage.Int64 || cs.Type == storage.Float64 {
 				opts.Key = cs.Name
@@ -213,54 +253,56 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 
 	m := &Manager{
 		name:      name,
-		proto:     proto,
+		proto:     tbl,
 		key:       opts.Key,
 		keyIdx:    keyIdx,
 		mode:      opts.Mode,
-		admission: opts.Engine.Admission,
-		slowThr:   opts.Engine.SlowQueryThreshold,
+		admission: opts.Admission,
+		limits:    opts.Engine.Limits,
+		slowThr:   opts.SlowQueryThreshold,
 		log:       opts.Engine.Logger,
-		stats:     opts.Engine.Stats,
+		stats:     opts.Stats,
 	}
-	m.reg = opts.Engine.Metrics
-	if m.reg == nil {
-		m.reg = obs.NewRegistry()
+	eo := opts.Engine
+	if eo.Metrics == nil {
+		eo.Metrics = obs.NewRegistry()
 	}
-	m.traces = opts.Engine.Traces
+	if eo.Ledger == nil {
+		eo.Ledger = obs.NewLedger(0)
+	}
+	m.reg, m.ledger = eo.Metrics, eo.Ledger
+	m.traces = opts.Traces
 	if m.traces == nil {
 		m.traces = obs.NewTraceRing(0)
 	}
-	m.slow = opts.Engine.SlowTraces
+	m.slow = opts.SlowTraces
 	if m.slow == nil {
 		m.slow = obs.NewTraceRing(0)
 	}
 	tl := obs.L("table", name)
+	m.mSlow = m.reg.Counter("adskip_slow_queries_total",
+		"Queries exceeding the slow-query threshold.", tl)
+	m.mLatency = m.reg.Histogram("adskip_query_seconds",
+		"Query wall-clock latency.", obs.LatencyBuckets(), tl)
+
+	if opts.Shards == 1 {
+		m.shards = []*shardState{{id: 1, eng: engine.New(tbl, eo)}}
+		return m, nil
+	}
 	m.mPruned = m.reg.Counter("adskip_shard_pruned_total",
 		"Shards eliminated by key-bound pruning before any zone metadata was consulted.", tl)
 	m.mScanned = m.reg.Counter("adskip_shard_scanned_total",
 		"Shard scans completed by the scatter-gather executor.", tl)
 	m.mQueries = m.reg.Counter("adskip_shard_queries_total",
 		"Logical queries executed through the scatter-gather executor.", tl)
-	m.mSlow = m.reg.Counter("adskip_slow_queries_total",
-		"Queries exceeding the slow-query threshold.", tl)
-	m.mLatency = m.reg.Histogram("adskip_query_seconds",
-		"Query wall-clock latency.", obs.LatencyBuckets(), tl)
 	m.reg.Gauge("adskip_shard_count",
 		"Number of shards the table is partitioned into.", tl).Set(int64(opts.Shards))
-
 	for i := 0; i < opts.Shards; i++ {
 		stbl, err := table.New(name, schema)
 		if err != nil {
 			return nil, err
 		}
-		eo := opts.Engine
 		eo.Shard = i + 1
-		eo.Metrics = m.reg
-		eo.Stats = nil             // the Manager records the one logical sample
-		eo.Admission = nil         // the Manager admits once per logical query
-		eo.Traces = nil            // private per-shard ring (engine-created)
-		eo.SlowTraces = nil        // merged trace carries slow detection
-		eo.SlowQueryThreshold = 0  // per-shard partials are not "queries"
 		s := &shardState{id: i + 1, eng: engine.New(stbl, eo)}
 		s.mRows = m.reg.Gauge("adskip_shard_rows",
 			"Rows currently held by this shard.", tl, obs.L("shard", strconv.Itoa(s.id)))
@@ -269,12 +311,16 @@ func New(name string, schema table.Schema, opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// NewFromTable partitions an existing table's rows across shards. Range
-// mode learns equi-depth bounds from the full key column up front, so
-// the placement (and therefore pruning) is as good as it gets. Row order
-// changes: rows are grouped by shard (a later merged snapshot writes
+// NewFromTable builds a Manager over an existing table's rows. One
+// shard adopts tbl as is. With more, the rows are partitioned: range mode
+// learns equi-depth bounds from the full key column up front, so the
+// placement (and therefore pruning) is as good as it gets, and row order
+// changes — rows are grouped by shard (a later merged snapshot writes
 // them back in shard order).
 func NewFromTable(tbl *table.Table, opts Options) (*Manager, error) {
+	if opts.Shards == 1 {
+		return newManager(tbl, opts)
+	}
 	m, err := New(tbl.Name(), tbl.Schema(), opts)
 	if err != nil {
 		return nil, err
@@ -311,8 +357,9 @@ func NewFromTable(tbl *table.Table, opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// Table returns the schema prototype (no data; per-shard engines hold
-// the rows). The SQL planner binds against it.
+// Table returns the planning schema: the data table itself with one
+// shard, otherwise a schema-only prototype (per-shard engines hold the
+// rows). The SQL planner binds against it.
 func (m *Manager) Table() *table.Table { return m.proto }
 
 // NumRows is the logical row count: the sum over shards. Each shard is
@@ -329,14 +376,15 @@ func (m *Manager) NumRows() int {
 // Shards returns the shard count.
 func (m *Manager) Shards() int { return len(m.shards) }
 
-// Key returns the shard key column name.
+// Key returns the shard key column name ("" with one shard).
 func (m *Manager) Key() string { return m.key }
 
 // Mode returns the routing mode.
 func (m *Manager) Mode() Mode { return m.mode }
 
 // ShardEngine returns the 1-based shard's engine (nil when out of
-// range). Exposed for tests and per-shard introspection.
+// range). Exposed for tests and per-shard introspection; a 1-shard
+// table's engine is ShardEngine(1).
 func (m *Manager) ShardEngine(id int) *engine.Engine {
 	if id < 1 || id > len(m.shards) {
 		return nil
@@ -477,6 +525,10 @@ func (m *Manager) AppendRow(vals ...storage.Value) error {
 // bound only costs pruning opportunity, while a late one would cost
 // correctness.
 func (m *Manager) AppendRows(rows [][]storage.Value) error {
+	if len(m.shards) == 1 {
+		// No key to route or widen: the one engine takes the batch.
+		return m.shards[0].eng.AppendRows(rows)
+	}
 	if len(rows) == 0 {
 		return nil
 	}
@@ -546,10 +598,15 @@ func (m *Manager) AppendRows(rows [][]storage.Value) error {
 	return nil
 }
 
-// Update is unsupported on sharded tables: the global-row-to-shard
-// mapping depends on append interleaving and is not stable across
-// restarts, so a global row index cannot be routed reliably.
+// Update overwrites one cell by row index. With one shard the global row
+// index is the engine's own. With more it is unsupported: the
+// global-row-to-shard mapping depends on append interleaving and is not
+// stable across restarts, so a global row index cannot be routed
+// reliably.
 func (m *Manager) Update(colName string, row int, v storage.Value) error {
+	if len(m.shards) == 1 {
+		return m.shards[0].eng.Update(colName, row, v)
+	}
 	return fmt.Errorf("shard: UPDATE by global row index is unsupported on sharded tables (query by key and rewrite instead)")
 }
 
@@ -563,11 +620,18 @@ func (m *Manager) SetWAL(l *wal.Log) {
 }
 
 // ReplayRecord routes a recovered WAL record to the shard that logged
-// it. Records with no shard number were written unsharded; records with
-// a shard number beyond the current count were written at a different
-// shard count — both are configuration mismatches, not data corruption,
-// so the error says how to reopen.
+// it. A 1-shard table's engine logs shard number 0, like any unsharded
+// table. A record whose shard number does not fit the current count was
+// written at a different shard count — a configuration mismatch, not
+// data corruption, so the error says how to reopen.
 func (m *Manager) ReplayRecord(rec *wal.Record) error {
+	if len(m.shards) == 1 {
+		if rec.Shard != 0 {
+			return fmt.Errorf("shard: WAL record for table %q was logged by shard %d of a sharded table (reopen with the shard count the log was written at)",
+				rec.Table, rec.Shard)
+		}
+		return m.shards[0].eng.ReplayRecord(rec)
+	}
 	if rec.Shard == 0 {
 		return fmt.Errorf("shard: WAL record for table %q carries no shard number (log written unsharded; reopen with Shards=1)", rec.Table)
 	}
@@ -613,8 +677,12 @@ func (m *Manager) ReplayRecord(rec *wal.Record) error {
 }
 
 // Merged materializes the logical table: every shard's rows concatenated
-// in shard order. Used by snapshot/CSV export.
+// in shard order. Used by snapshot/CSV export. A 1-shard table returns
+// its data table itself, with no copy.
 func (m *Manager) Merged() (*table.Table, error) {
+	if len(m.shards) == 1 {
+		return m.shards[0].eng.Table(), nil
+	}
 	out, err := table.New(m.name, m.proto.Schema())
 	if err != nil {
 		return nil, err

@@ -78,9 +78,11 @@ func rewriteQuery(q engine.Query) *rewrite {
 // mergeResults combines the per-shard partial results into the logical
 // result. partials[i] corresponds to targets[i]; both are in ascending
 // shard order, which pins the deterministic output order (concatenation
-// and equal-key tie-breaks follow shard number).
-func (m *Manager) mergeResults(q engine.Query, rw *rewrite, targets []int, partials []*engine.Result) (*engine.Result, error) {
-	out := &engine.Result{}
+// and equal-key tie-breaks follow shard number). groups is the number of
+// distinct merged groups before LIMIT (GROUP BY only), the size the
+// result budget caps.
+func (m *Manager) mergeResults(q engine.Query, rw *rewrite, targets []int, partials []*engine.Result) (out *engine.Result, groups int, err error) {
+	out = &engine.Result{}
 	for _, p := range partials {
 		out.Stats.RowsScanned += p.Stats.RowsScanned
 		out.Stats.RowsSkipped += p.Stats.RowsSkipped
@@ -91,8 +93,8 @@ func (m *Manager) mergeResults(q engine.Query, rw *rewrite, targets []int, parti
 
 	switch {
 	case q.GroupBy != "":
-		if err := m.mergeGroups(q, rw, partials, out); err != nil {
-			return nil, err
+		if groups, err = m.mergeGroups(q, rw, partials, out); err != nil {
+			return nil, 0, err
 		}
 		// Grouped Count is the matching-row count (not groups), limit or
 		// not — same as one engine. The limit applies only to Rows.
@@ -101,21 +103,21 @@ func (m *Manager) mergeResults(q engine.Query, rw *rewrite, targets []int, parti
 		}
 	case len(q.Select) > 0:
 		if err := mergeRows(q, rw, targets, partials, out); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		out.Count = len(out.Rows)
 		if err := m.mergeAggs(q, rw, partials, out); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	default:
 		for _, p := range partials {
 			out.Count += p.Count
 		}
 		if err := m.mergeAggs(q, rw, partials, out); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return out, nil
+	return out, groups, nil
 }
 
 // mergeAggs recombines global (ungrouped) aggregates from the per-shard
@@ -282,8 +284,8 @@ func keyOf(v storage.Value) groupKey {
 // mergeGroups hash-merges per-shard GROUP BY rows by key value, combines
 // each group's partial aggregates, and emits groups in key order (NULL
 // group last) — the same order one engine produces — truncated to the
-// limit.
-func (m *Manager) mergeGroups(q engine.Query, rw *rewrite, partials []*engine.Result, out *engine.Result) error {
+// limit. It returns the number of distinct groups before truncation.
+func (m *Manager) mergeGroups(q engine.Query, rw *rewrite, partials []*engine.Result, out *engine.Result) (int, error) {
 	type group struct {
 		key   storage.Value
 		cells [][]storage.Value
@@ -292,7 +294,7 @@ func (m *Manager) mergeGroups(q engine.Query, rw *rewrite, partials []*engine.Re
 	for _, p := range partials {
 		for _, row := range p.Rows {
 			if len(row) != 1+len(rw.q.Aggs) {
-				return fmt.Errorf("shard: grouped row arity %d, want %d", len(row), 1+len(rw.q.Aggs))
+				return 0, fmt.Errorf("shard: grouped row arity %d, want %d", len(row), 1+len(rw.q.Aggs))
 			}
 			k := keyOf(row[0])
 			g, ok := groups[k]
@@ -321,7 +323,7 @@ func (m *Manager) mergeGroups(q engine.Query, rw *rewrite, partials []*engine.Re
 
 	gcol, err := m.proto.Column(q.GroupBy)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	out.Columns = make([]string, 1+len(q.Aggs))
 	out.Types = make([]storage.Type, 1+len(q.Aggs))
@@ -337,14 +339,14 @@ func (m *Manager) mergeGroups(q engine.Query, rw *rewrite, partials []*engine.Re
 		g := groups[k]
 		merged, err := combineAggCells(q.Aggs, rw.aggPos, g.cells)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		row := make([]storage.Value, 1+len(merged))
 		row[0] = g.key
 		copy(row[1:], merged)
 		out.Rows = append(out.Rows, row)
 	}
-	return nil
+	return len(groups), nil
 }
 
 // aggResultType mirrors the engine's result typing: COUNT is BIGINT,

@@ -19,12 +19,11 @@ func (m *Manager) Query(q engine.Query) (*engine.Result, error) {
 	return m.QueryContext(context.Background(), q)
 }
 
-// QueryContext executes q across the shards: shard-prune by key bounds,
-// scatter to the survivors, merge. Per-phase accounting mirrors a plain
-// engine — plan covers validation and the per-shard query rewrite,
-// shardprune is the new phase, and scan is the scatter+merge wall clock
-// (per-shard probe/scan/feedback detail lives in each shard's own
-// trace, summarized as child spans here).
+// QueryContext executes one logical query and owns its accounting:
+// admission, pprof template labels, the workload sample, the trace and
+// slow-query rings, the slow-query counter and log, and the latency
+// histogram. A 1-shard table runs q on its engine; see execute for more
+// shards.
 func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Result, error) {
 	if q.Limit < 0 {
 		return nil, engine.ErrBadLimit
@@ -32,6 +31,9 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Workload attribution: only when stats are on AND the context
+	// carries a template fingerprint. The common benchmark path (no
+	// fingerprint) pays one nil check and one context lookup at most.
 	if m.stats != nil {
 		if fp := obs.TemplateFromContext(ctx); fp != "" {
 			start := time.Now()
@@ -61,63 +63,117 @@ func (m *Manager) QueryContext(ctx context.Context, q engine.Query) (*engine.Res
 }
 
 // queryAdmitted takes one catalog-wide admission slot for the whole
-// logical query — the per-shard engines run admission-free — then
-// executes the scatter-gather.
+// logical query — the engines run admission-free — then executes it and
+// publishes the result's trace.
 func (m *Manager) queryAdmitted(ctx context.Context, q engine.Query) (*engine.Result, error) {
-	if err := ctx.Err(); err != nil {
-		m.errQueries.Add(1)
-		return nil, fmt.Errorf("%w: %v", engine.ErrCanceled, context.Cause(ctx))
-	}
 	if err := m.admission.Acquire(ctx); err != nil {
 		m.errQueries.Add(1)
 		return nil, err
 	}
 	defer m.admission.Release()
-	res, err := m.queryOnce(ctx, q)
+	res, err := m.execute(ctx, q)
 	if err != nil {
 		m.errQueries.Add(1)
+		return nil, err
 	}
-	return res, err
+	m.queries.Add(1)
+	m.publish(res)
+	return res, nil
 }
 
-func (m *Manager) queryOnce(ctx context.Context, q engine.Query) (*engine.Result, error) {
-	root := obs.NewSpan("query")
-	tr := &obs.QueryTrace{Table: m.name, Start: root.Start, Root: root,
-		Session:     obs.SessionFromContext(ctx),
-		TraceID:     obs.TraceFromContext(ctx),
-		Fingerprint: obs.TemplateFromContext(ctx),
-		PlanCached:  obs.PlanCachedFromContext(ctx)}
-
-	total := m.NumRows()
-	spPlan := root.StartChild("plan")
+// execute runs q on the shards that can hold matching rows. One shard,
+// or one shard left after shard pruning, runs q itself on the caller's
+// goroutine and its trace becomes the logical trace. Two or more run the
+// rewritten per-shard query in parallel under one shared budget and
+// merge.
+func (m *Manager) execute(ctx context.Context, q engine.Query) (*engine.Result, error) {
+	if len(m.shards) == 1 {
+		return m.shards[0].eng.QueryContext(ctx, q)
+	}
+	start := time.Now()
 	if err := q.Where.Validate(); err != nil {
 		return nil, err
 	}
-	rw := rewriteQuery(q)
-	tr.Plan = time.Since(tr.Start)
-	spPlan.FinishRows(total, 0, 0)
-
 	tPrune := time.Now()
-	spPrune := root.StartChild("shardprune")
 	targets, pruned := m.pruneShards(q.Where)
-	tr.ShardPrune = time.Since(tPrune)
+	prune := &obs.Span{Name: "shardprune", Start: tPrune, Duration: time.Since(tPrune),
+		RowsIn: len(m.shards), RowsOut: len(targets), RowsSkipped: pruned}
+	m.mPruned.Add(int64(pruned))
+	m.mQueries.Inc()
+	if len(targets) == 1 {
+		return m.executeOne(ctx, q, start, prune, targets[0], pruned)
+	}
+	return m.scatterGather(ctx, q, start, prune, targets, pruned)
+}
+
+// executeOne runs q inline on the one shard pruning left — only it can
+// hold matching rows — and turns that shard's trace into the logical
+// trace by adding the shard-prune phase in front.
+func (m *Manager) executeOne(ctx context.Context, q engine.Query, start time.Time, prune *obs.Span, target, pruned int) (*engine.Result, error) {
+	s := m.shards[target]
+	res, err := s.eng.QueryContext(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	m.mScanned.Inc()
+	res.Stats.ShardsScanned, res.Stats.ShardsPruned = 1, pruned
+	tr := res.Trace
+	tr.Start, tr.Total = start, time.Since(start)
+	tr.ShardPrune = prune.Duration
+	tr.ShardsScanned, tr.ShardsPruned = 1, pruned
+	tr.Shard, tr.Shards = 0, []int{s.id}
+	tr.RowsTotal = m.NumRows()
+	tr.Root.Start, tr.Root.Duration = start, tr.Total
+	tr.Root.FinishRows(tr.RowsTotal, res.Count, res.Stats.RowsSkipped)
+	tr.Root.AttachFirst(prune)
+	return res, nil
+}
+
+// scatterGather fans the rewritten query out to the target shards and
+// merges. Per-phase accounting mirrors one engine — plan covers the
+// per-shard query rewrite, shardprune is the shard phase, and scan is the
+// scatter+merge wall clock (per-shard probe/scan/feedback detail lives in
+// each shard's own trace, summarized as child spans here).
+func (m *Manager) scatterGather(ctx context.Context, q engine.Query, start time.Time, prune *obs.Span, targets []int, pruned int) (*engine.Result, error) {
+	total := m.NumRows()
+	rw := rewriteQuery(q)
+	if q.GroupBy != "" && m.limits.MaxResultRows > 0 {
+		// The result cap counts every merged group, so each shard must
+		// return all of its groups, not its first LIMIT.
+		rw.q.Limit = 0
+	}
+	root := &obs.Span{Name: "query", Start: start}
+	tr := &obs.QueryTrace{Table: m.name, Start: start, Root: root,
+		Session:     obs.SessionFromContext(ctx),
+		TraceID:     obs.TraceFromContext(ctx),
+		Fingerprint: obs.TemplateFromContext(ctx),
+		PlanCached:  obs.PlanCachedFromContext(ctx),
+		ShardPrune:  prune.Duration}
+	// Validation ran before shard pruning and the rewrite after it; both
+	// are planning, reported as one phase ahead of the prune.
+	tr.Plan = time.Since(start) - prune.Duration
+	root.Attach(&obs.Span{Name: "plan", Start: start, Duration: tr.Plan, RowsIn: total})
+	root.Attach(prune)
 	tr.ShardsScanned, tr.ShardsPruned = len(targets), pruned
 	for _, ti := range targets {
 		tr.Shards = append(tr.Shards, m.shards[ti].id)
 	}
-	spPrune.FinishRows(len(m.shards), len(targets), pruned)
-	m.mPruned.Add(int64(pruned))
-	m.mQueries.Inc()
 
 	tScan := time.Now()
 	spScan := root.StartChild("scatter")
-	partials, err := m.scatter(ctx, targets, rw.q)
+	budget := m.budget(q)
+	partials, err := m.scatter(ctx, targets, rw.q, budget)
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.mergeResults(q, rw, targets, partials)
+	res, groups, err := m.mergeResults(q, rw, targets, partials)
 	if err != nil {
 		return nil, err
+	}
+	if q.GroupBy != "" {
+		if err := budget.CheckResult(groups); err != nil {
+			return nil, err
+		}
 	}
 	tr.Scan = time.Since(tScan)
 	res.Stats.ShardsScanned, res.Stats.ShardsPruned = len(targets), pruned
@@ -134,18 +190,9 @@ func (m *Manager) queryOnce(ctx context.Context, q engine.Query) (*engine.Result
 	spScan.FinishDuration(tr.Scan)
 	spScan.FinishRows(res.Stats.RowsScanned+res.Stats.RowsCovered, res.Count, res.Stats.RowsSkipped)
 
-	m.finishTrace(ctx, res, tr, partials, targets, total)
-	return res, nil
-}
-
-// finishTrace closes the merged trace, publishes it, and records the
-// workload sample — the Manager-level mirror of the engine's bookkeeping
-// (shard engines run with Stats nil so the logical query is sampled
-// exactly once).
-func (m *Manager) finishTrace(ctx context.Context, res *engine.Result, tr *obs.QueryTrace, partials []*engine.Result, targets []int, total int) {
-	tr.Total = time.Since(tr.Start)
-	tr.Root.FinishDuration(tr.Total)
-	tr.Root.FinishRows(total, res.Count, res.Stats.RowsSkipped)
+	tr.Total = time.Since(start)
+	root.FinishDuration(tr.Total)
+	root.FinishRows(total, res.Count, res.Stats.RowsSkipped)
 	tr.RowsScanned = res.Stats.RowsScanned
 	tr.RowsSkipped = res.Stats.RowsSkipped
 	tr.RowsCovered = res.Stats.RowsCovered
@@ -154,13 +201,36 @@ func (m *Manager) finishTrace(ctx context.Context, res *engine.Result, tr *obs.Q
 	tr.Matched = res.Count
 	tr.Predicates = mergePredicates(partials)
 	res.Trace = tr
+	return res, nil
+}
 
+// budget starts the logical query's shared resource budget. Engines
+// sharing it charge their scanned rows and materialized rows (projection
+// rows, gathered ORDER BY matches) to one total, and the merged GROUP BY
+// groups are checked once after the merge. An unordered projection whose
+// LIMIT fits the result cap cannot exceed it, though its shards together
+// may materialize more than LIMIT rows, so it runs without the cap.
+func (m *Manager) budget(q engine.Query) *engine.Budget {
+	lim := m.limits
+	if q.GroupBy == "" && q.OrderBy == "" && q.Limit > 0 && q.Limit <= lim.MaxResultRows {
+		lim.MaxResultRows = 0
+	}
+	return engine.NewBudget(lim)
+}
+
+// publish closes the logical query's accounting: latency, the slow-query
+// counter, ring and log, the trace ring, and the workload sample.
+func (m *Manager) publish(res *engine.Result) {
+	tr := res.Trace
 	m.mLatency.Observe(tr.Total.Seconds())
 	if m.slowThr > 0 && tr.Total >= m.slowThr {
 		tr.Slow = true
 		m.mSlow.Inc()
 		m.slow.Append(tr)
 		if m.log != nil {
+			// The fingerprint, not the raw text, is the grouping key:
+			// parameterized repeats of one template aggregate in the log
+			// instead of flooding it with near-duplicates.
 			m.log.Warn("slow query",
 				"table", tr.Table, "total", tr.Total,
 				"rows_scanned", tr.RowsScanned, "rows_skipped", tr.RowsSkipped,
@@ -170,38 +240,51 @@ func (m *Manager) finishTrace(ctx context.Context, res *engine.Result, tr *obs.Q
 		}
 	}
 	m.traces.Append(tr)
-
 	if m.stats != nil && tr.Fingerprint != "" {
-		zonesRead := int64(0)
-		for i := range tr.Predicates {
-			if tr.Predicates[i].Active {
-				zonesRead += int64(tr.Predicates[i].Windows)
-			}
-		}
-		zonesPruned := int64(tr.ZonesProbed) - zonesRead
-		if zonesPruned < 0 {
-			zonesPruned = 0
-		}
-		shardIDs := make([]int, 0, len(targets))
-		for _, si := range targets {
-			shardIDs = append(shardIDs, m.shards[si].id)
-		}
-		m.stats.Record(stats.Sample{
-			Fingerprint:   tr.Fingerprint,
-			Table:         m.name,
-			CacheHit:      obs.PlanCachedFromContext(ctx),
-			Latency:       tr.Total,
-			RowsRead:      int64(res.Stats.RowsScanned),
-			RowsReturned:  int64(res.Count),
-			RowsSkipped:   int64(res.Stats.RowsSkipped),
-			ZonesRead:     zonesRead,
-			ZonesPruned:   zonesPruned,
-			BytesScanned:  int64(res.Stats.RowsScanned) * 8,
-			ShardsScanned: int64(tr.ShardsScanned),
-			ShardsPruned:  int64(tr.ShardsPruned),
-			Shards:        shardIDs,
-		})
+		m.recordWorkload(res)
 	}
+}
+
+// bytesPerCode is the storage cost the bytes-scanned estimate charges
+// per row examined: every column is dictionary/int64-encoded into 8-byte
+// codes, and the kernels read one code per row per filtered column.
+const bytesPerCode = 8
+
+// recordWorkload folds one successful attributed query into the stats
+// table. Zone IDs feed the zone-touch sketch only with one shard: each
+// shard numbers its zones independently.
+func (m *Manager) recordWorkload(res *engine.Result) {
+	tr := res.Trace
+	s := stats.Sample{
+		Fingerprint:   tr.Fingerprint,
+		Table:         m.name,
+		CacheHit:      tr.PlanCached,
+		Latency:       tr.Total,
+		RowsRead:      int64(res.Stats.RowsScanned),
+		RowsReturned:  int64(res.Count),
+		RowsSkipped:   int64(res.Stats.RowsSkipped),
+		BytesScanned:  int64(res.Stats.RowsScanned) * bytesPerCode,
+		ShardsScanned: int64(tr.ShardsScanned),
+		ShardsPruned:  int64(tr.ShardsPruned),
+		Shards:        tr.Shards,
+	}
+	for i := range tr.Predicates {
+		p := &tr.Predicates[i]
+		if !p.Active {
+			continue
+		}
+		s.ZonesRead += int64(p.Windows)
+		if len(p.ZoneIDs) > 0 && len(m.shards) == 1 {
+			if s.ZoneIDs == nil {
+				s.ZoneIDs = make(map[string][]int, len(tr.Predicates))
+			}
+			s.ZoneIDs[p.Column] = p.ZoneIDs
+		}
+	}
+	if pruned := int64(tr.ZonesProbed) - s.ZonesRead; pruned > 0 {
+		s.ZonesPruned = pruned
+	}
+	m.stats.Record(s)
 }
 
 // pruneShards eliminates shards whose observed key bounds cannot
@@ -253,7 +336,7 @@ func (m *Manager) pruneShards(where expr.Conj) (targets []int, pruned int) {
 // checkpoints), and the first worker error cancels the rest. The
 // shard-scanned counter is incremented per COMPLETED shard scan, so a
 // cancelled gather reports exactly the partial work that ran.
-func (m *Manager) scatter(ctx context.Context, targets []int, q engine.Query) ([]*engine.Result, error) {
+func (m *Manager) scatter(ctx context.Context, targets []int, q engine.Query, budget *engine.Budget) ([]*engine.Result, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]*engine.Result, len(targets))
@@ -263,7 +346,7 @@ func (m *Manager) scatter(ctx context.Context, targets []int, q engine.Query) ([
 		wg.Add(1)
 		go func(i, si int) {
 			defer wg.Done()
-			res, err := m.shards[si].eng.QueryContext(cctx, q)
+			res, err := m.shards[si].eng.QueryBudget(cctx, q, budget)
 			if err != nil {
 				errs[i] = err
 				cancel()
@@ -333,10 +416,14 @@ func mergePredicates(partials []*engine.Result) []obs.PredicateTrace {
 	return out
 }
 
-// Explain renders the sharded plan: the shard-prune outcome followed by
-// each surviving shard's own plan (real metadata probes, like a plain
-// engine's EXPLAIN).
+// Explain renders the plan without running it: a 1-shard table's is its
+// engine's plan; with more shards, the shard-prune outcome followed by
+// each surviving shard's own plan (real metadata probes, like an engine's
+// EXPLAIN).
 func (m *Manager) Explain(q engine.Query) ([]string, error) {
+	if len(m.shards) == 1 {
+		return m.shards[0].eng.Explain(q)
+	}
 	if q.Limit < 0 {
 		return nil, engine.ErrBadLimit
 	}
@@ -369,21 +456,32 @@ func (m *Manager) ExplainAnalyze(q engine.Query) ([]string, *engine.Result, erro
 	return m.ExplainAnalyzeContext(context.Background(), q)
 }
 
-// ExplainAnalyzeContext executes q through the scatter-gather and
-// renders the observed plan; the merged trace's shardprune phase shows
-// shard elimination alongside the familiar plan/probe/scan phases.
+// ExplainAnalyzeContext executes q and renders the observed plan: per
+// phase wall clock and, per predicate column, estimated against actual
+// pruning (a sharded table's trace adds the shardprune phase). The
+// footers describe the logical table: the query template's workload
+// totals when the query was attributed, and the table's adaptation-ledger
+// totals once it has any.
 func (m *Manager) ExplainAnalyzeContext(ctx context.Context, q engine.Query) ([]string, *engine.Result, error) {
 	res, err := m.QueryContext(ctx, q)
 	if err != nil {
 		return nil, nil, err
 	}
 	lines := engine.AnalyzeLines(res, true)
-	if m.stats != nil && res.Trace != nil && res.Trace.Fingerprint != "" {
+	if m.stats != nil && res.Trace.Fingerprint != "" {
 		if ts, ok := m.stats.Template(res.Trace.Fingerprint); ok {
 			lines = append(lines, fmt.Sprintf(
 				"workload: template %q — %d calls (%d errors, %d cache hits), mean %.0fµs, p95 %.0fµs, %.1f%% rows skipped",
 				ts.Fingerprint, ts.Calls, ts.Errors, ts.CacheHits, ts.MeanUS, ts.P95US, 100*ts.SkipRatio))
 		}
+	}
+	if lt := m.ledger.Totals(m.name); lt.Events > 0 {
+		line := fmt.Sprintf("ledger: %d adaptation events (%d splits)", lt.Events, lt.Splits)
+		if !lt.LastSplit.IsZero() {
+			line += fmt.Sprintf(", last split %s ago by %q",
+				time.Since(lt.LastSplit).Round(time.Millisecond), lt.LastSplitCause)
+		}
+		lines = append(lines, line)
 	}
 	return lines, res, nil
 }

@@ -180,7 +180,7 @@ var equivalenceQueries = []struct {
 	{"count_range", engine.Query{Where: expr.And(expr.MustPred("id", expr.Between, storage.IntValue(100), storage.IntValue(400)))}, true},
 	{"count_all", engine.Query{}, true},
 	{"count_point", engine.Query{Where: expr.And(expr.MustPred("id", expr.EQ, storage.IntValue(77)))}, true},
-	{"count_unsat", engine.Query{Where: expr.And(expr.MustPred("id", expr.GT, storage.IntValue(1 << 40)))}, true},
+	{"count_unsat", engine.Query{Where: expr.And(expr.MustPred("id", expr.GT, storage.IntValue(1<<40)))}, true},
 	{"count_null_key", engine.Query{Where: expr.And(expr.MustPred("id", expr.IsNull))}, true},
 	{"count_other_col", engine.Query{Where: expr.And(expr.MustPred("price", expr.LT, storage.FloatValue(25)))}, true},
 	{"count_conj", engine.Query{Where: expr.And(
@@ -210,7 +210,7 @@ var equivalenceQueries = []struct {
 	{"aggs_empty_match", engine.Query{Aggs: []engine.Agg{
 		{Kind: engine.CountStar}, {Kind: engine.Sum, Col: "price"},
 		{Kind: engine.Min, Col: "price"}, {Kind: engine.Avg, Col: "price"}},
-		Where: expr.And(expr.MustPred("id", expr.GT, storage.IntValue(1 << 40)))}, true},
+		Where: expr.And(expr.MustPred("id", expr.GT, storage.IntValue(1<<40)))}, true},
 	{"group_by", engine.Query{GroupBy: "city", Aggs: []engine.Agg{
 		{Kind: engine.CountStar}, {Kind: engine.Sum, Col: "price"}, {Kind: engine.Avg, Col: "price"},
 		{Kind: engine.Min, Col: "id"}, {Kind: engine.Max, Col: "id"}}}, true},
@@ -221,16 +221,20 @@ var equivalenceQueries = []struct {
 		{Kind: engine.CountStar}, {Kind: engine.Sum, Col: "price"}},
 		Where: expr.And(expr.MustPred("id", expr.Between, storage.IntValue(10), storage.IntValue(90)))}, false},
 	{"order_with_aggs_limit", engine.Query{Select: []string{"id"}, OrderBy: "id", Limit: 7,
-		Aggs: []engine.Agg{{Kind: engine.CountStar}, {Kind: engine.Avg, Col: "price"}},
+		Aggs:  []engine.Agg{{Kind: engine.CountStar}, {Kind: engine.Avg, Col: "price"}},
 		Where: expr.And(expr.MustPred("id", expr.Between, storage.IntValue(10), storage.IntValue(90)))}, true},
 	{"in_pred", engine.Query{Where: expr.And(expr.MustPred("id", expr.In,
 		storage.IntValue(3), storage.IntValue(333), storage.IntValue(777)))}, true},
 }
 
 func TestShardedMatchesUnsharded(t *testing.T) {
-	for _, mode := range []Mode{ModeRange, ModeHash} {
-		t.Run(mode.String(), func(t *testing.T) {
-			ref, m := pair(t, mode, 4, 1000)
+	for _, tc := range []struct {
+		name   string
+		mode   Mode
+		shards int
+	}{{"range", ModeRange, 4}, {"hash", ModeHash, 4}, {"single", ModeRange, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, m := pair(t, tc.mode, tc.shards, 1000)
 			for _, tc := range equivalenceQueries {
 				want, err := ref.Query(tc.q)
 				if err != nil {
@@ -246,9 +250,18 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesUnshardedFromTable covers the NewFromTable path
-// (bounds learned from the full data up front).
+// TestShardedMatchesUnshardedFromTable covers the NewFromTable path:
+// bounds learned from the full data up front, or the table adopted as
+// is by one shard.
 func TestShardedMatchesUnshardedFromTable(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			matchesFromTable(t, shards)
+		})
+	}
+}
+
+func matchesFromTable(t *testing.T, shards int) {
 	rows := testRows(600)
 	tbl, err := table.New("sales", testSchema())
 	if err != nil {
@@ -268,7 +281,7 @@ func TestShardedMatchesUnshardedFromTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := NewFromTable(src, Options{Shards: 3, Key: "id",
+	m, err := NewFromTable(src, Options{Shards: shards, Key: "id",
 		Engine: engine.Options{Policy: engine.PolicyAdaptive}})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +325,7 @@ func TestShardPruning(t *testing.T) {
 	// Unsatisfiable predicate: every shard prunable, one kept for the
 	// correct empty-result shape.
 	res, err = m.Query(engine.Query{Where: expr.And(
-		expr.MustPred("id", expr.GT, storage.IntValue(1 << 40)))})
+		expr.MustPred("id", expr.GT, storage.IntValue(1<<40)))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,9 +338,46 @@ func TestShardPruning(t *testing.T) {
 	}
 }
 
+// TestUpdateSingleShard: on one shard the global row index is the
+// engine's own, so UPDATE works and answers stay equal to the reference.
+func TestUpdateSingleShard(t *testing.T) {
+	ref, m := pair(t, ModeRange, 1, 1000)
+	for _, row := range []int{0, 17, 999} {
+		v := storage.FloatValue(float64(10_000 + row))
+		if err := ref.Update("price", row, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Update("price", row, v); err != nil {
+			t.Fatalf("Update on a 1-shard table: %v", err)
+		}
+	}
+	q := engine.Query{Where: expr.And(expr.MustPred("price", expr.GE, storage.FloatValue(10_000))),
+		Select: []string{"id", "price"}}
+	want, err := ref.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count != 3 {
+		t.Fatalf("updated rows matched: %d, want 3", got.Count)
+	}
+	checkEqual(t, "update", want, got, false)
+}
+
 func TestManagerValidation(t *testing.T) {
-	if _, err := New("t", testSchema(), Options{Shards: 1}); err == nil {
-		t.Error("Shards=1 accepted; want error")
+	if _, err := New("t", testSchema(), Options{Shards: 0}); err == nil {
+		t.Error("Shards=0 accepted; want error")
+	}
+	// One shard needs no shard key: a table with no numeric column works.
+	one, err := New("t", table.Schema{{Name: "city", Type: storage.String}}, Options{Shards: 1, Key: "city"})
+	if err != nil {
+		t.Fatalf("1-shard table without a numeric key: %v", err)
+	}
+	if one.Key() != "" {
+		t.Errorf("1-shard key = %q, want none", one.Key())
 	}
 	if _, err := New("t", testSchema(), Options{Shards: 2, Key: "city"}); err == nil {
 		t.Error("string shard key accepted; want error")
@@ -380,6 +430,19 @@ func TestExplainAnalyzeShardPhase(t *testing.T) {
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, "shardprune") {
 		t.Errorf("EXPLAIN ANALYZE missing shardprune phase:\n%s", joined)
+	}
+	// The lone surviving shard ran inline; its trace became the logical
+	// trace, whose root span covers every phase, shard pruning included.
+	tr := res.Trace
+	if tr.ShardsScanned != 1 || tr.Root.Start != tr.Start || tr.Root.Duration != tr.Total {
+		t.Fatalf("logical trace: %d shards scanned, root [%v +%v], trace [%v +%v]",
+			tr.ShardsScanned, tr.Root.Start, tr.Root.Duration, tr.Start, tr.Total)
+	}
+	end := tr.Start.Add(tr.Total)
+	for _, c := range tr.Root.Children() {
+		if c.Start.Before(tr.Start) || c.Start.Add(c.Duration).After(end) {
+			t.Errorf("span %q [%v +%v] outside the query's [%v +%v]", c.Name, c.Start, c.Duration, tr.Start, tr.Total)
+		}
 	}
 }
 

@@ -158,3 +158,100 @@ func TestWALShardCountMismatch(t *testing.T) {
 		t.Errorf("unsharded log into sharded table: err = %v, want unsharded guidance", err)
 	}
 }
+
+// TestWALSingleShardStampsZero: a 1-shard table logs like an unsharded
+// one — records carry shard number 0 — so it replays logs written by a
+// bare engine, rows and updates alike, and refuses a sharded table's log
+// with reopen guidance.
+func TestWALSingleShardStampsZero(t *testing.T) {
+	dir := t.TempDir()
+	tbl, err := table.New("w", table.Schema{
+		{Name: "id", Type: storage.Int64},
+		{Name: "v", Type: storage.Float64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(tbl, engine.Options{})
+	l, _, err := wal.Open(wal.Options{Dir: dir}, func(*wal.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetWAL(l)
+	for i := 0; i < 50; i++ {
+		if err := e.AppendRow(storage.IntValue(int64(i)), storage.FloatValue(float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Update("v", 7, storage.FloatValue(700)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The bare engine's log replays into a 1-shard table, which then logs
+	// its own appends stamped 0 as well.
+	m := walManager(t, 1)
+	l2, stats, err := wal.Open(wal.Options{Dir: dir}, m.ReplayRecord)
+	if err != nil {
+		t.Fatalf("replaying an unsharded log into one shard: %v", err)
+	}
+	if stats.Records != 51 || m.NumRows() != 50 {
+		t.Fatalf("replayed %d records into %d rows, want 51 into 50", stats.Records, m.NumRows())
+	}
+	res, err := m.Query(engine.Query{Where: expr.And(expr.MustPred("v", expr.EQ, storage.FloatValue(700)))})
+	if err != nil || res.Count != 1 {
+		t.Fatalf("replayed update: count=%v err=%v", res, err)
+	}
+	m.SetWAL(l2)
+	if err := m.AppendRows([][]storage.Value{{storage.IntValue(50), storage.FloatValue(50)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update("v", 8, storage.FloatValue(800)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var shards []uint32
+	l3, _, err := wal.Open(wal.Options{Dir: dir}, func(rec *wal.Record) error {
+		shards = append(shards, rec.Shard)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l3.Close()
+	if len(shards) != 53 {
+		t.Fatalf("log holds %d records, want 53", len(shards))
+	}
+	for i, sh := range shards {
+		if sh != 0 {
+			t.Fatalf("record %d stamped shard %d, want 0", i, sh)
+		}
+	}
+
+	// A 3-shard table's log does not replay into one shard.
+	dir2 := t.TempDir()
+	m3 := walManager(t, 3)
+	l4, _, err := wal.Open(wal.Options{Dir: dir2}, func(*wal.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m3.SetWAL(l4)
+	batch := make([][]storage.Value, 0, 100)
+	for i := 0; i < 100; i++ {
+		batch = append(batch, []storage.Value{storage.IntValue(int64(i)), storage.FloatValue(float64(i))})
+	}
+	if err := m3.AppendRows(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := l4.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wal.Open(wal.Options{Dir: dir2}, walManager(t, 1).ReplayRecord); err == nil ||
+		!strings.Contains(err.Error(), "shard count") {
+		t.Errorf("sharded log into one shard: err = %v, want shard-count guidance", err)
+	}
+}

@@ -1,9 +1,10 @@
-package engine
+package shard
 
 import (
 	"context"
 	"testing"
 
+	"adskip/internal/engine"
 	"adskip/internal/expr"
 	"adskip/internal/obs"
 	"adskip/internal/stats"
@@ -11,25 +12,29 @@ import (
 	"adskip/internal/table"
 )
 
-func workloadEngine(tb testing.TB, n int64, opts Options) *Engine {
+// workloadTable builds a 1-shard table of n sorted rows with skipping on.
+func workloadTable(tb testing.TB, n int64, st *stats.Table, eo engine.Options) *Manager {
 	tb.Helper()
 	t := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}})
 	col, _ := t.Column("v")
 	for i := int64(0); i < n; i++ {
 		col.AppendInt(i)
 	}
-	e := New(t, opts)
-	if err := e.EnableSkipping("v"); err != nil {
+	m, err := NewFromTable(t, Options{Shards: 1, Stats: st, Engine: eo})
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return e
+	if err := m.EnableSkipping("v"); err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }
 
-func rangeQuery(lo, hi int64) Query {
-	return Query{
+func rangeQuery(lo, hi int64) engine.Query {
+	return engine.Query{
 		Where: expr.And(expr.MustPred("v", expr.Between,
 			storage.IntValue(lo), storage.IntValue(hi))),
-		Aggs: []Agg{{Kind: CountStar}},
+		Aggs: []engine.Agg{{Kind: engine.CountStar}},
 	}
 }
 
@@ -39,7 +44,7 @@ func rangeQuery(lo, hi int64) Query {
 // feedback identities) the zone-touch sketch.
 func TestWorkloadAttribution(t *testing.T) {
 	st := stats.New(stats.Options{})
-	e := workloadEngine(t, 4096, Options{Policy: PolicyAdaptive, Stats: st})
+	e := workloadTable(t, 4096, st, engine.Options{Policy: engine.PolicyAdaptive})
 
 	// A partial-zone range: the matching zone cannot be covered, so rows
 	// really scan (COUNT over a fully covered zone would short-circuit).
@@ -78,7 +83,7 @@ func TestWorkloadAttribution(t *testing.T) {
 // template without polluting row/zone totals.
 func TestWorkloadErrorAttribution(t *testing.T) {
 	st := stats.New(stats.Options{})
-	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, StaticZoneSize: 256, Stats: st})
+	e := workloadTable(t, 1024, st, engine.Options{Policy: engine.PolicyStatic, StaticZoneSize: 256})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -99,7 +104,7 @@ func TestWorkloadErrorAttribution(t *testing.T) {
 // the template's cache-hit counter.
 func TestWorkloadCacheHitAttribution(t *testing.T) {
 	st := stats.New(stats.Options{})
-	e := workloadEngine(t, 1024, Options{Policy: PolicyStatic, StaticZoneSize: 256, Stats: st})
+	e := workloadTable(t, 1024, st, engine.Options{Policy: engine.PolicyStatic, StaticZoneSize: 256})
 
 	fp := "SELECT COUNT(*) FROM t WHERE v < ?"
 	ctx := obs.WithTemplate(context.Background(), fp)
@@ -116,14 +121,14 @@ func TestWorkloadCacheHitAttribution(t *testing.T) {
 }
 
 // BenchmarkQueryAttribution measures the full hot-path cost of workload
-// analytics: the same engine query unattributed (stats off), with a
+// analytics: the same 1-shard query unattributed (stats off), with a
 // stats table but no fingerprint (the one-nil-check bench path), and
 // fully attributed (pprof labels + Record). The attributed/off delta is
 // the documented overhead — it must stay under 1% of query latency.
 func BenchmarkQueryAttribution(b *testing.B) {
 	const n = 1 << 18
 	q := rangeQuery(0, n/16)
-	run := func(b *testing.B, e *Engine, ctx context.Context) {
+	run := func(b *testing.B, e *Manager, ctx context.Context) {
 		b.Helper()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -133,15 +138,15 @@ func BenchmarkQueryAttribution(b *testing.B) {
 		}
 	}
 	b.Run("off", func(b *testing.B) {
-		e := workloadEngine(b, n, Options{Policy: PolicyStatic, StaticZoneSize: 4096})
+		e := workloadTable(b, n, nil, engine.Options{Policy: engine.PolicyStatic, StaticZoneSize: 4096})
 		run(b, e, context.Background())
 	})
 	b.Run("enabled-unattributed", func(b *testing.B) {
-		e := workloadEngine(b, n, Options{Policy: PolicyStatic, StaticZoneSize: 4096, Stats: stats.New(stats.Options{})})
+		e := workloadTable(b, n, stats.New(stats.Options{}), engine.Options{Policy: engine.PolicyStatic, StaticZoneSize: 4096})
 		run(b, e, context.Background())
 	})
 	b.Run("attributed", func(b *testing.B) {
-		e := workloadEngine(b, n, Options{Policy: PolicyStatic, StaticZoneSize: 4096, Stats: stats.New(stats.Options{})})
+		e := workloadTable(b, n, stats.New(stats.Options{}), engine.Options{Policy: engine.PolicyStatic, StaticZoneSize: 4096})
 		ctx := obs.WithTemplate(context.Background(), "SELECT COUNT(*) FROM t WHERE v BETWEEN ? AND ?")
 		run(b, e, ctx)
 	})

@@ -20,15 +20,20 @@ var (
 )
 
 // Executor is what the SQL layer needs from a query backend: a schema to
-// plan against and the query/explain entry points. *engine.Engine is the
-// single-engine implementation; *shard.Manager implements the same
-// surface over a scatter-gather of per-shard engines, so everything
-// SQL-routed (server, facade, CLIs) works unchanged on sharded tables.
+// plan against and the query/explain entry points. *shard.Manager, the
+// query path of every table, implements it; so does a bare
+// *engine.Engine, the single-threaded reference tests and experiments
+// run against.
 type Executor interface {
 	Table() *table.Table
 	QueryContext(ctx context.Context, q engine.Query) (*engine.Result, error)
 	Explain(q engine.Query) ([]string, error)
 	ExplainAnalyzeContext(ctx context.Context, q engine.Query) ([]string, *engine.Result, error)
+}
+
+// workloadRecorder is an Executor that records per-template workload
+// samples (the shard manager, when workload analytics is on).
+type workloadRecorder interface {
 	WorkloadStats() *stats.Table
 }
 
@@ -130,8 +135,8 @@ func ExecParsed(e Executor, stmt Statement) (*engine.Result, error) {
 	return ExecParsedContext(context.Background(), e, stmt)
 }
 
-// ExecParsedContext is ExecParsed under a context. When the engine has a
-// workload stats table, the statement's fingerprint is stamped onto the
+// ExecParsedContext is ExecParsed under a context. When the executor
+// records workload stats, the statement's fingerprint is stamped onto the
 // context here (unless the caller — e.g. the network server's statement
 // cache — already did), so every SQL-routed query is attributed to its
 // template.
@@ -140,7 +145,7 @@ func ExecParsedContext(ctx context.Context, e Executor, stmt Statement) (*engine
 	if err != nil {
 		return nil, err
 	}
-	if e.WorkloadStats() != nil && obs.TemplateFromContext(ctx) == "" {
+	if wr, ok := e.(workloadRecorder); ok && wr.WorkloadStats() != nil && obs.TemplateFromContext(ctx) == "" {
 		ctx = obs.WithTemplate(ctx, Fingerprint(stmt))
 	}
 	if stmt.Explain {

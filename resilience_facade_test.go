@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"adskip/internal/adaptive"
 	"adskip/internal/faultinject"
@@ -240,5 +242,77 @@ func TestMaxConcurrentQueriesSmoke(t *testing.T) {
 		if _, err := db.Exec("SELECT COUNT(*) FROM t WHERE v >= 0"); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestLimitsPerLogicalQuery: Limits bound the logical query, not each
+// shard scan. Over 400k rows whose "k" metadata cannot prune, a table of
+// four shards must refuse exactly what a table of one refuses — rows
+// scanned, projected rows, gathered ORDER BY matches and merged GROUP BY
+// groups are all charged to one budget — and accept what it accepts.
+func TestLimitsPerLogicalQuery(t *testing.T) {
+	const n = 400_000
+	rows := make([][]Value, n)
+	for i := range rows {
+		// k = 7 matches 121 rows, spread evenly over every shard.
+		rows[i] = []Value{IntValue(int64(i)), IntValue(int64(i % 3333))}
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			open := func(lim Limits) *DB {
+				t.Helper()
+				db := Open(Options{Policy: Adaptive, Shards: shards, ShardKey: "v", Limits: lim})
+				tab, err := db.CreateTable("t", Col("v", Int64), Col("k", Int64))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tab.AppendBatch(rows); err != nil {
+					t.Fatal(err)
+				}
+				if err := tab.EnableSkipping(); err != nil {
+					t.Fatal(err)
+				}
+				return db
+			}
+			check := func(db *DB, q string, wantErr bool, wantRows int) {
+				t.Helper()
+				res, err := db.Exec(q)
+				if wantErr {
+					if !errors.Is(err, ErrBudget) {
+						t.Errorf("%s: err = %v, want ErrBudget", q, err)
+					}
+					return
+				}
+				if err != nil {
+					t.Errorf("%s: %v", q, err)
+					return
+				}
+				if len(res.Rows) != wantRows {
+					t.Errorf("%s: %d rows, want %d", q, len(res.Rows), wantRows)
+				}
+			}
+
+			db := open(Limits{MaxRowsScanned: 150_000})
+			check(db, "SELECT COUNT(*) FROM t WHERE k < 500", true, 0)
+			check(db, "SELECT COUNT(*) FROM t WHERE v < 100000", false, 0)
+
+			db = open(Limits{MaxResultRows: 100})
+			check(db, "SELECT v FROM t WHERE k = 7", true, 0)
+			check(db, "SELECT v FROM t WHERE k = 7 ORDER BY v LIMIT 5", true, 0)
+			check(db, "SELECT v, COUNT(*) FROM t WHERE k = 7 GROUP BY v", true, 0)
+			check(db, "SELECT v, COUNT(*) FROM t WHERE k = 7 GROUP BY v LIMIT 10", true, 0)
+			check(db, "SELECT v FROM t WHERE k = 7 LIMIT 100", false, 100)
+			check(db, "SELECT k, COUNT(*) FROM t WHERE k = 7 GROUP BY k", false, 1)
+
+			db = open(Limits{MaxResultRows: 200})
+			check(db, "SELECT v FROM t WHERE k = 7", false, 121)
+			check(db, "SELECT v FROM t WHERE k = 7 ORDER BY v DESC LIMIT 5", false, 5)
+
+			restore := faultinject.Activate(faultinject.New(1).
+				Set(faultinject.ScanDelay, faultinject.Rule{Every: 1, Delay: 5 * time.Millisecond}))
+			defer restore()
+			db = open(Limits{MaxDuration: 10 * time.Millisecond})
+			check(db, "SELECT COUNT(*) FROM t WHERE k < 500", true, 0)
+		})
 	}
 }

@@ -5,13 +5,23 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"adskip/internal/engine"
+	"adskip/internal/sql"
+	"adskip/internal/table"
 )
 
 // shardedDB opens a DB sharded 4 ways on "id" and fills one table with
 // 400 deterministic rows.
 func shardedDB(t *testing.T, mode string) (*DB, *Table) {
 	t.Helper()
-	db := Open(Options{Policy: Adaptive, Shards: 4, ShardKey: "id", ShardBy: mode})
+	return shardsDB(t, 4, mode)
+}
+
+// shardsDB is shardedDB at any shard count (1 = unsharded).
+func shardsDB(t *testing.T, shards int, mode string) (*DB, *Table) {
+	t.Helper()
+	db := Open(Options{Policy: Adaptive, Shards: shards, ShardKey: "id", ShardBy: mode})
 	tab, err := db.CreateTable("sales",
 		Col("id", Int64), Col("price", Float64), Col("city", String))
 	if err != nil {
@@ -36,34 +46,38 @@ func shardedDB(t *testing.T, mode string) (*DB, *Table) {
 }
 
 // TestShardedSQL drives the full SQL path — parse, plan, scatter-gather,
-// merge — through a sharded DB and checks answers against what an
-// unsharded DB computes over the same data.
+// merge — through a DB of one or four shards and checks answers against
+// what the bare reference engine computes over the same data.
 func TestShardedSQL(t *testing.T) {
-	for _, mode := range []string{"range", "hash"} {
-		t.Run(mode, func(t *testing.T) {
-			db, tab := shardedDB(t, mode)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		mode   string
+	}{{"range", 4, "range"}, {"hash", 4, "hash"}, {"single", 1, ""}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, tab := shardsDB(t, tc.shards, tc.mode)
 			defer db.Close()
-			if got := tab.Shards(); got != 4 {
-				t.Fatalf("Shards() = %d, want 4", got)
-			}
-			if tab.Engine() != nil {
-				t.Fatal("Engine() on a sharded table should be nil")
+			if got := tab.Shards(); got != tc.shards {
+				t.Fatalf("Shards() = %d, want %d", got, tc.shards)
 			}
 			if tab.NumRows() != 400 {
 				t.Fatalf("NumRows = %d, want 400", tab.NumRows())
 			}
 
-			ref := Open(Options{Policy: Adaptive})
-			refTab, err := ref.CreateTable("sales",
-				Col("id", Int64), Col("price", Float64), Col("city", String))
+			reftbl, err := table.New("sales", table.Schema{
+				{Name: "id", Type: Int64}, {Name: "price", Type: Float64}, {Name: "city", Type: String}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := engine.New(reftbl, engine.Options{Policy: Adaptive})
 			for i := 0; i < 400; i++ {
 				cities := []string{"oslo", "rome", "cairo", "lima"}
-				if err := refTab.Append(i, float64(i)/4, cities[i%4]); err != nil {
+				if err := ref.AppendRow(IntValue(int64(i)), FloatValue(float64(i)/4), StringValue(cities[i%4])); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if err := ref.EnableSkipping("id", "price"); err != nil {
+				t.Fatal(err)
 			}
 			for _, q := range []string{
 				"SELECT COUNT(*) FROM sales WHERE id BETWEEN 10 AND 40",
@@ -77,7 +91,7 @@ func TestShardedSQL(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
 				}
-				want, err := ref.Exec(q)
+				want, err := sql.Exec(ref, q)
 				if err != nil {
 					t.Fatalf("%s (ref): %v", q, err)
 				}
