@@ -113,16 +113,14 @@ type QueryTrace = obs.QueryTrace
 // telemetry server's /skipmap endpoint and DB.Skipmap.
 type SkipmapTable = obs.SkipmapTable
 
-// AdaptationEvent is one structural or arbitration change to a column's
-// skipping metadata (zone split/merge, skipping disabled/enabled, tail
-// fold, metadata built/loaded, quarantine/rebuild).
-type AdaptationEvent = obs.Event
-
-// AdaptationRecord is one adaptation-ledger entry: a zone-lifecycle
-// event with full provenance — cause, the query template whose feedback
-// triggered it, the affected row window, and the before/after zone
-// counts and value-bound hulls. Retained in a bounded ring; see
-// DB.Adaptation and the telemetry /adaptation endpoint.
+// AdaptationRecord is one adaptation-ledger entry: a structural or
+// arbitration change to a column's skipping metadata (zone split/merge,
+// tail fold, widen, skipping disabled/enabled, metadata built/loaded,
+// quarantine/rebuild) with full provenance — cause, the query template
+// whose feedback triggered it, the affected row window, and the
+// before/after zone counts and value-bound hulls. Retained in a bounded
+// ring; see DB.AdaptationEvents, DB.Adaptation and the telemetry /events
+// and /adaptation endpoints.
 type AdaptationRecord = obs.LedgerRecord
 
 // AdaptationROI is one column's adaptation return-on-investment row:
@@ -341,14 +339,13 @@ type ColumnDef struct {
 func Col(name string, typ Type) ColumnDef { return ColumnDef{Name: name, Type: typ} }
 
 // DB is a catalog of tables sharing one skipping configuration and one
-// observability plane (metrics registry, adaptation-event log, ledger,
-// trace rings, workload table, and an optional embedded telemetry
+// observability plane (metrics registry, adaptation ledger, trace
+// rings, workload table, and an optional embedded telemetry
 // server). Every table is a shard manager of Options.Shards shards (one
 // when unset), so sharded and unsharded tables run one query path.
 type DB struct {
 	opts      Options
 	reg       *obs.Registry
-	events    *obs.EventLog
 	ledger    *obs.Ledger
 	admission *engine.Admission
 	traces    *obs.TraceRing
@@ -395,7 +392,6 @@ func Open(opts Options) *DB {
 		opts:      opts,
 		tables:    make(map[string]*shard.Manager),
 		reg:       obs.NewRegistry(),
-		events:    obs.NewEventLog(0),
 		ledger:    obs.NewLedger(0),
 		admission: engine.NewAdmission(opts.MaxConcurrentQueries),
 		traces:    obs.NewTraceRing(opts.TraceRingSize),
@@ -429,7 +425,7 @@ func Open(opts Options) *DB {
 }
 
 // shardOptions maps DB options onto per-table shard manager options. All
-// tables share the DB's registry, event log, ledger, admission control,
+// tables share the DB's registry, ledger, admission control,
 // trace rings and workload table, so /traces and DB.Traces interleave
 // queries across the whole catalog in arrival order.
 func (db *DB) shardOptions() (shard.Options, error) {
@@ -452,7 +448,6 @@ func (db *DB) shardOptions() (shard.Options, error) {
 			Adaptive:       db.opts.Adaptive,
 			Parallelism:    db.opts.Parallelism,
 			Metrics:        db.reg,
-			Events:         db.events,
 			Ledger:         db.ledger,
 			Limits:         db.opts.Limits,
 			Logger:         db.opts.Logger,
@@ -553,7 +548,7 @@ func (db *DB) StartTelemetry(addr string) (string, error) {
 		Registry:   db.reg,
 		Traces:     db.traces,
 		SlowTraces: db.slow,
-		Events:     db.events.Events,
+		Events:     db.ledger.Records,
 		Skipmap:    db.Skipmap,
 		History:    smp,
 	}
@@ -667,7 +662,7 @@ func (db *DB) fillHistory(s *HistorySample) {
 	}
 	s.LatencyP50 = obs.QuantileFromBuckets(bounds, buckets, 0.50)
 	s.LatencyP95 = obs.QuantileFromBuckets(bounds, buckets, 0.95)
-	s.AdaptEvents = int64(db.events.Seq())
+	s.AdaptEvents = int64(db.ledger.Seq())
 	// Worst per-template skip-rate decay vs its learned baseline — the
 	// skip_regression health signal (0 without workload stats).
 	s.SkipRegression = db.stats.RegressionGap()
@@ -727,8 +722,9 @@ func (db *DB) Close() error {
 func (db *DB) Metrics() *Metrics { return db.reg }
 
 // AdaptationEvents returns a chronological copy of the retained
-// adaptation events across all tables (bounded ring; oldest drop first).
-func (db *DB) AdaptationEvents() []AdaptationEvent { return db.events.Events() }
+// adaptation-ledger records across all tables (bounded ring; oldest drop
+// first).
+func (db *DB) AdaptationEvents() []AdaptationRecord { return db.ledger.Records() }
 
 // ExplainAnalyze parses and executes a SQL SELECT, returning the rendered
 // EXPLAIN ANALYZE plan (phase timings, per-predicate estimated vs actual

@@ -81,8 +81,8 @@ func (r *repl) skipmap(maxZones int) []obs.SkipmapTable {
 }
 
 // adaptation is the telemetry server's /adaptation source: the
-// session-level ledger (it survives \gen/\load table swaps, like the
-// event log) joined with the current table's ROI rows.
+// session-level ledger (it survives \gen/\load table swaps) joined
+// with the current table's ROI rows.
 func (r *repl) adaptation(maxDead int) obs.AdaptationSnapshot {
 	ledger := r.opts.Engine.Ledger
 	snap := obs.AdaptationSnapshot{
@@ -120,7 +120,7 @@ func (r *repl) fillHistory(s *obs.HistorySample) {
 	}
 	s.LatencyP50 = obs.QuantileFromBuckets(bounds, buckets, 0.50)
 	s.LatencyP95 = obs.QuantileFromBuckets(bounds, buckets, 0.95)
-	s.AdaptEvents = int64(r.opts.Engine.Events.Seq())
+	s.AdaptEvents = int64(r.opts.Engine.Ledger.Seq())
 }
 
 func main() {
@@ -140,7 +140,7 @@ func main() {
 	)
 	flag.Parse()
 
-	// One registry, event log, ledger, trace rings and workload table for
+	// One registry, ledger, trace rings and workload table for
 	// the whole session: \metrics, \events, \top and the telemetry server
 	// survive table reloads (attach rebuilds the table).
 	reg := obs.NewRegistry()
@@ -153,7 +153,6 @@ func main() {
 		Engine: engine.Options{
 			StaticZoneSize: *zone,
 			Metrics:        reg,
-			Events:         obs.NewEventLog(0),
 			Ledger:         obs.NewLedger(0),
 		},
 	}
@@ -219,7 +218,7 @@ func main() {
 			Registry:   reg,
 			Traces:     opts.Traces,
 			SlowTraces: opts.SlowTraces,
-			Events:     opts.Engine.Events.Events,
+			Events:     opts.Engine.Ledger.Records,
 			Skipmap:    r.skipmap,
 			History:    sampler,
 			Workload:   opts.Stats,
@@ -277,7 +276,7 @@ func (r *repl) meta(line string) bool {
 \skipping [col]     describe zone metadata \stats        adaptive counters
 \metrics [json]     dump engine metrics (Prometheus text, or JSON)
 \top                hottest query templates (calls, p95, cpu%) + skipmap
-\events [n]         show the last n adaptation events (default 20)
+\events [n]         show the last n adaptation-ledger records (default 20)
 \trace              toggle per-query trace printing (same as --metrics)
 \timeout <dur|off>  cancel statements running longer than dur (e.g. 500ms)
 \quarantine         list quarantined columns    \rebuild      rebuild their metadata
@@ -528,23 +527,26 @@ func (r *repl) metrics(format string) {
 }
 
 func (r *repl) events(n int) {
-	evs := r.opts.Engine.Events.Events()
-	if len(evs) == 0 {
+	ledger := r.opts.Engine.Ledger
+	recs := ledger.Records()
+	if len(recs) == 0 {
 		fmt.Fprintln(r.out, "no adaptation events yet")
 		return
 	}
-	if dropped := r.opts.Engine.Events.Dropped(); dropped > 0 {
-		fmt.Fprintf(r.out, "(%d older events dropped from the ring)\n", dropped)
+	if dropped := ledger.Dropped(); dropped > 0 {
+		fmt.Fprintf(r.out, "(%d older records dropped from the ring)\n", dropped)
 	}
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
+	if len(recs) > n {
+		recs = recs[len(recs)-n:]
 	}
-	for _, ev := range evs {
-		fmt.Fprintf(r.out, "#%-5d %s %s.%s %-13s", ev.Seq, ev.Time.Format("15:04:05.000"), ev.Table, ev.Column, ev.Kind)
-		if ev.Delta != 0 {
-			fmt.Fprintf(r.out, " %+d zones", ev.Delta)
+	for _, rec := range recs {
+		fmt.Fprintf(r.out, "#%-5d %s %s.%s %-13s %-12s zones %d->%d",
+			rec.Seq, rec.Time.Format("15:04:05.000"), rec.Table, rec.Column, rec.Kind,
+			rec.Cause, rec.ZonesBefore, rec.ZonesAfter)
+		if rec.Fingerprint != "" {
+			fmt.Fprintf(r.out, " fp=%q", rec.Fingerprint)
 		}
-		fmt.Fprintf(r.out, " (now %d zones)\n", ev.Zones)
+		fmt.Fprintln(r.out)
 	}
 }
 

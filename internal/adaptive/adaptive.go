@@ -224,7 +224,6 @@ type Zonemap struct {
 	// then declines every probe and ignores maintenance calls.
 	health error
 
-	events func(obs.Event)        // adaptation-event sink; nil = no reporting
 	ledger func(obs.LedgerRecord) // adaptation-ledger sink; nil = no journal
 }
 
@@ -239,24 +238,10 @@ func (z *Zonemap) setHealth(err error) {
 	}
 }
 
-// SetEventSink implements core.EventEmitter: structural and arbitration
-// changes are reported through sink. Events fire only on adaptation
-// (splits, merges, arbitration flips, tail folds) — never per probe — so
-// the sink is far off the scan path.
-func (z *Zonemap) SetEventSink(sink func(obs.Event)) { z.events = sink }
-
-// emit reports one adaptation event if a sink is installed, and counts
-// it as a maintenance debit for ROI accounting.
-func (z *Zonemap) emit(kind obs.EventKind, delta int) {
-	z.maintEvents++
-	if z.events != nil {
-		z.events(obs.Event{Kind: kind, Zones: len(z.zones), Delta: delta})
-	}
-}
-
 // SetLedgerSink implements core.LedgerEmitter: zone-lifecycle records
-// with cause and before/after bounds are journaled through sink. Like
-// the event sink, it fires only on structural change, never per probe.
+// with cause and before/after bounds are journaled through sink. Records
+// fire only on adaptation (splits, merges, arbitration flips, tail folds,
+// first widens) — never per probe — so the sink is far off the scan path.
 func (z *Zonemap) SetLedgerSink(sink func(obs.LedgerRecord)) { z.ledger = sink }
 
 // ledgerEmit journals one lifecycle record if a sink is installed.
@@ -688,30 +673,39 @@ func (z *Zonemap) FoldTail(codes []int64, nulls *bitvec.BitVec) {
 	z.tailLo = z.rows
 	z.rebuildBlocks()
 	z.maintZones += int64(len(z.zones) - before)
-	z.emit(obs.EventTailFold, len(z.zones)-before)
-	rec := obs.LedgerRecord{
+	z.maintEvents++
+	// The folded region's hull: the tail had no metadata before.
+	var h hull
+	h.add(z.zones[before:]...)
+	z.ledgerEmit(obs.LedgerRecord{
 		Kind: obs.EventTailFold, Cause: "append-fold",
 		ZonesBefore: before, ZonesAfter: len(z.zones),
 		RowLo: foldLo, RowHi: z.rows,
+		MinAfter: h.min, MaxAfter: h.max,
+	})
+}
+
+// hull is the value-bound hull of the non-empty zones added to it; an
+// all-NULL zone has no bounds and contributes nothing. Both bounds stay
+// 0 until the first non-empty zone arrives.
+type hull struct {
+	min, max int64
+	set      bool
+}
+
+// add widens the hull by each zone's bounds.
+func (h *hull) add(zs ...zone) {
+	for i := range zs {
+		zn := &zs[i]
+		switch {
+		case zn.nonNull == 0:
+		case !h.set:
+			h.min, h.max, h.set = zn.min, zn.max, true
+		default:
+			h.min = min(h.min, zn.min)
+			h.max = max(h.max, zn.max)
+		}
 	}
-	// The folded region's hull: the tail had no metadata before.
-	for i := before; i < len(z.zones); i++ {
-		zn := &z.zones[i]
-		if zn.nonNull == 0 {
-			continue
-		}
-		if rec.MinAfter == 0 && rec.MaxAfter == 0 && i == before {
-			rec.MinAfter, rec.MaxAfter = zn.min, zn.max
-			continue
-		}
-		if zn.min < rec.MinAfter {
-			rec.MinAfter = zn.min
-		}
-		if zn.max > rec.MaxAfter {
-			rec.MaxAfter = zn.max
-		}
-	}
-	z.ledgerEmit(rec)
 }
 
 // Widen implements core.Skipper: loosen the enclosing zone's bounds so an
@@ -871,7 +865,6 @@ func (z *Zonemap) DescribeZones(max int) string {
 
 var (
 	_ core.Skipper          = (*Zonemap)(nil)
-	_ core.EventEmitter     = (*Zonemap)(nil)
 	_ core.HealthChecker    = (*Zonemap)(nil)
 	_ core.InvariantChecker = (*Zonemap)(nil)
 	_ core.ZoneIntrospector = (*Zonemap)(nil)

@@ -8,6 +8,7 @@ import (
 	"adskip/internal/bitvec"
 	"adskip/internal/core"
 	"adskip/internal/expr"
+	"adskip/internal/obs"
 	"adskip/internal/scan"
 )
 
@@ -320,6 +321,38 @@ func TestExtendAndTailFold(t *testing.T) {
 	z.FoldTail(codes, nil)
 	if err := z.CheckInvariants(codes, nil, true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The tail-fold ledger record carries the hull of the folded zones'
+// bounds; a leading all-NULL zone has no bounds and must not pin the
+// hull's minimum at 0.
+func TestFoldTailHullSkipsNullZone(t *testing.T) {
+	cfg := smallCfg()
+	cfg.InitialZoneRows = 1024
+	cfg.TailFoldRows = 1 << 20 // fold only on demand
+	codes := seqCodes(1024, func(int) int64 { return 500 })
+	z := New(codes, nil, cfg)
+	var recs []obs.LedgerRecord
+	z.SetLedgerSink(func(r obs.LedgerRecord) { recs = append(recs, r) })
+
+	codes = append(codes, make([]int64, 1024)...)
+	codes = append(codes, seqCodes(1024, func(i int) int64 { return 100 + int64(i%100) })...)
+	nulls := bitvec.New(len(codes))
+	nulls.SetRange(1024, 2048)
+	z.Extend(codes, nulls)
+	z.FoldTail(codes, nulls)
+
+	if len(recs) != 1 || recs[0].Kind != obs.EventTailFold {
+		t.Fatalf("records = %+v, want one tail-fold", recs)
+	}
+	r := recs[0]
+	if r.RowLo != 1024 || r.RowHi != 3072 || r.ZonesBefore != 1 || r.ZonesAfter != 3 {
+		t.Fatalf("fold window = rows [%d,%d) zones %d->%d, want [1024,3072) 1->3",
+			r.RowLo, r.RowHi, r.ZonesBefore, r.ZonesAfter)
+	}
+	if r.MinAfter != 100 || r.MaxAfter != 199 {
+		t.Fatalf("fold hull = [%d,%d], want [100,199]", r.MinAfter, r.MaxAfter)
 	}
 }
 

@@ -32,7 +32,7 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 		z.enabled = false
 		z.disabledQueries = 0
 		z.disables++
-		z.emit(obs.EventDisable, 0)
+		z.maintEvents++
 		z.ledgerEmit(obs.LedgerRecord{
 			Kind: obs.EventDisable, Cause: "net-benefit",
 			ZonesBefore: len(z.zones), ZonesAfter: len(z.zones),
@@ -73,18 +73,17 @@ func (z *Zonemap) Observe(res core.PruneResult, zobs []core.ZoneObservation) {
 
 	structural := false
 	if len(plans) > 0 {
-		before := len(z.zones)
 		z.applySplits(plans)
-		z.emit(obs.EventSplit, len(z.zones)-before)
+		z.maintEvents++
 		structural = true
 	}
 	if !z.cfg.DisableMerge && z.queries%z.cfg.MergeSweepEvery == 0 {
 		before := len(z.zones)
 		z.mergeSweep()
-		if removed := before - len(z.zones); removed > 0 {
-			z.emit(obs.EventMerge, removed)
+		if len(z.zones) != before {
+			z.maintEvents++
+			structural = true
 		}
-		structural = structural || len(z.zones) != before
 	}
 	if structural {
 		z.rebuildBlocks()
@@ -169,30 +168,15 @@ func (z *Zonemap) applySplits(plans []splitPlan) {
 			// (possibly loosened) hull before, the children's exact hull
 			// after — the journal shows each split re-tightening metadata.
 			parent := &z.zones[i]
-			rec := obs.LedgerRecord{
+			var h hull
+			h.add(subs...)
+			z.ledgerEmit(obs.LedgerRecord{
 				Kind: obs.EventSplit, Cause: "split-gain",
 				ZonesBefore: 1, ZonesAfter: len(subs),
 				RowLo: parent.lo, RowHi: parent.hi,
 				MinBefore: parent.min, MaxBefore: parent.max,
-			}
-			hullSet := false
-			for k := range subs {
-				if subs[k].nonNull == 0 {
-					continue
-				}
-				if !hullSet {
-					rec.MinAfter, rec.MaxAfter = subs[k].min, subs[k].max
-					hullSet = true
-					continue
-				}
-				if subs[k].min < rec.MinAfter {
-					rec.MinAfter = subs[k].min
-				}
-				if subs[k].max > rec.MaxAfter {
-					rec.MaxAfter = subs[k].max
-				}
-			}
-			z.ledgerEmit(rec)
+				MinAfter: h.min, MaxAfter: h.max,
+			})
 			out = append(out, subs...)
 			z.splits += len(subs) - 1
 			z.maintZones += int64(len(subs))
@@ -223,8 +207,7 @@ func (z *Zonemap) mergeSweep() {
 	// One summary ledger record per sweep covering every coalesced run:
 	// the affected row span and the union hull of the merged zones.
 	spanLo, spanHi := -1, 0
-	var hullMin, hullMax int64
-	hullSet := false
+	var h hull
 	for i < len(z.zones) {
 		cur := z.zones[i]
 		j := i + 1
@@ -242,18 +225,7 @@ func (z *Zonemap) mergeSweep() {
 				spanLo = cur.lo
 			}
 			spanHi = cur.hi
-			if cur.nonNull > 0 {
-				if !hullSet {
-					hullMin, hullMax, hullSet = cur.min, cur.max, true
-				} else {
-					if cur.min < hullMin {
-						hullMin = cur.min
-					}
-					if cur.max > hullMax {
-						hullMax = cur.max
-					}
-				}
-			}
+			h.add(cur)
 		}
 		z.merges += j - i - 1
 		out = append(out, cur)
@@ -266,8 +238,8 @@ func (z *Zonemap) mergeSweep() {
 			Kind: obs.EventMerge, Cause: "merge-cold",
 			ZonesBefore: before, ZonesAfter: len(out),
 			RowLo: spanLo, RowHi: spanHi,
-			MinBefore: hullMin, MaxBefore: hullMax,
-			MinAfter: hullMin, MaxAfter: hullMax,
+			MinBefore: h.min, MaxBefore: h.max,
+			MinAfter: h.min, MaxAfter: h.max,
 		})
 	}
 }
@@ -346,7 +318,7 @@ func (z *Zonemap) shadowProbe(r expr.Ranges) {
 	if z.netBenefit > 0 {
 		z.enabled = true
 		z.enables++
-		z.emit(obs.EventEnable, 0)
+		z.maintEvents++
 		z.ledgerEmit(obs.LedgerRecord{
 			Kind: obs.EventEnable, Cause: "shadow-probe",
 			ZonesBefore: len(z.zones), ZonesAfter: len(z.zones),

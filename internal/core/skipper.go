@@ -122,23 +122,15 @@ type ZoneIntrospector interface {
 	SnapshotZones(max int) []obs.SkipmapZone
 }
 
-// EventEmitter is implemented by skippers whose metadata changes over time
-// (splits, merges, arbitration flips, tail folds). The engine installs a
-// sink at registration so adaptation events reach the observability
-// layer's event log; the sink fills in table/column identity, which the
-// skipper itself does not know. Emitting is optional: non-adaptive
-// skippers simply do not implement the interface.
-type EventEmitter interface {
-	SetEventSink(sink func(obs.Event))
-}
-
-// LedgerEmitter is implemented by skippers that journal their zone
-// lifecycle with provenance: each record carries the change's cause and
-// the before/after shape of the affected metadata. The engine installs
-// the sink at registration and stamps table/shard identity plus the
-// triggering query fingerprint, none of which the skipper knows.
-// Records are emitted only on structural change — never per probe — so
-// the sink stays off the scan hot path.
+// LedgerEmitter is implemented by skippers whose metadata changes over
+// time (splits, merges, arbitration flips, tail folds, widens). Each
+// record carries the change's cause and the before/after shape of the
+// affected metadata. The engine installs the sink at registration and
+// stamps table/shard identity plus the triggering query fingerprint,
+// none of which the skipper knows. Records are emitted only on
+// structural change — never per probe — so the sink stays off the scan
+// hot path. Emitting is optional: non-adaptive skippers simply do not
+// implement the interface.
 type LedgerEmitter interface {
 	SetLedgerSink(sink func(obs.LedgerRecord))
 }

@@ -73,14 +73,12 @@ type Options struct {
 	// one registry across engines (the DB facade does) to aggregate
 	// metrics catalog-wide.
 	Metrics *obs.Registry
-	// Events receives adaptation events (splits, merges, arbitration
-	// flips). When nil, the engine creates a private log.
-	Events *obs.EventLog
-	// Ledger receives zone-lifecycle provenance records: every structural
-	// change with its cause, the fingerprint of the query that triggered
-	// it, and the before/after bounds. When nil, the engine creates a
-	// private ledger. Share one ledger across engines (the DB facade does)
-	// so /adaptation sees catalog-wide history; per-shard records stay
+	// Ledger is the adaptation journal: every structural or arbitration
+	// change (splits, merges, arbitration flips, lifecycle events) with
+	// its cause, the fingerprint of the query that triggered it, and the
+	// before/after bounds. When nil, the engine creates a private ledger.
+	// Share one ledger across engines (the DB facade does) so /events and
+	// /adaptation see catalog-wide history; per-shard records stay
 	// distinguishable by their shard stamp.
 	Ledger *obs.Ledger
 	// Limits bounds each query's resource consumption (zero value = no
@@ -130,14 +128,13 @@ type Engine struct {
 	// corruption) and now fall back to full scans; see quarantineLocked.
 	quarantined map[string]quarantineRecord
 
-	// Observability: the registry and event log may be shared across
+	// Observability: the registry and ledger may be shared across
 	// engines; metric handles are resolved once so the per-query cost is
 	// atomic adds only. trace is the in-flight query's trace (guarded by
 	// mu, like all query state). colM has its own small mutex so the
 	// history sampler can walk the per-column handles without waiting on
 	// a running query's hold of mu.
 	reg    *obs.Registry
-	events *obs.EventLog
 	ledger *obs.Ledger
 	m      engMetrics
 	colMu  sync.Mutex
@@ -171,10 +168,6 @@ func New(tbl *table.Table, opts Options) *Engine {
 	if e.reg == nil {
 		e.reg = obs.NewRegistry()
 	}
-	e.events = opts.Events
-	if e.events == nil {
-		e.events = obs.NewEventLog(0)
-	}
 	e.ledger = opts.Ledger
 	if e.ledger == nil {
 		e.ledger = obs.NewLedger(0)
@@ -190,9 +183,6 @@ func (e *Engine) Table() *table.Table { return e.tbl }
 
 // Metrics returns the engine's metrics registry.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
-
-// Events returns a chronological copy of the retained adaptation events.
-func (e *Engine) Events() []obs.Event { return e.events.Events() }
 
 // Ledger returns the adaptation ledger this engine journals into.
 func (e *Engine) Ledger() *obs.Ledger { return e.ledger }
@@ -245,17 +235,13 @@ func (e *Engine) buildSkipperLocked(name string, kind obs.EventKind) error {
 }
 
 // registerSkipper hooks a freshly installed skipper into the
-// observability layer: event sink, lifecycle event, and gauges.
+// observability layer: ledger sink, lifecycle record, and gauges.
 func (e *Engine) registerSkipper(name string, kind obs.EventKind) {
 	s := e.skippers[name]
-	if em, ok := s.(core.EventEmitter); ok {
-		em.SetEventSink(e.eventSink(name))
-	}
 	if le, ok := s.(core.LedgerEmitter); ok {
 		le.SetLedgerSink(e.ledgerSink(name))
 	}
 	md := s.Metadata()
-	e.eventSink(name)(obs.Event{Kind: kind, Zones: md.Zones})
 	e.ledgerSink(name)(obs.LedgerRecord{
 		Kind: kind, Cause: lifecycleCause(kind),
 		ZonesAfter: md.Zones, RowHi: s.Rows(),

@@ -98,7 +98,9 @@ func (e *Engine) QueryContext(ctx context.Context, q Query) (*Result, error) {
 // QueryBudget is QueryContext charging b instead of a fresh budget from
 // the engine's own Limits (b == nil). A caller that runs one logical
 // query on several engines shares one Budget between them, so the rows
-// scanned, result rows and deadline are bounded per logical query.
+// scanned, result rows and deadline are bounded per logical query. A
+// quarantine retry charges the same budget: the failed attempt hands its
+// rows back and the MaxDuration clock keeps running.
 func (e *Engine) QueryBudget(ctx context.Context, q Query, b *Budget) (*Result, error) {
 	if q.Limit < 0 {
 		return nil, ErrBadLimit
@@ -112,6 +114,9 @@ func (e *Engine) QueryBudget(ctx context.Context, q Query, b *Budget) (*Result, 
 	}
 	e.m.inflight.Add(1)
 	defer e.m.inflight.Add(-1)
+	if b == nil {
+		b = NewBudget(e.opts.Limits)
+	}
 
 	retried := false
 	for {
@@ -138,19 +143,19 @@ func (e *Engine) QueryBudget(ctx context.Context, q Query, b *Budget) (*Result, 
 // A panic anywhere in execution is recovered here: skippers that were
 // actively pruning are quarantined (the metadata is the prime corruption
 // suspect) and the error is marked retryable. A failed attempt hands its
-// result rows back to a shared budget: the retry (or the caller) starts
-// from what the surviving attempts materialized.
+// scanned and result rows back to the budget: the retry (or the caller)
+// starts from what the surviving attempts charged.
 func (e *Engine) queryOnce(ctx context.Context, q Query, b *Budget) (out *Result, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	qc := e.newQctx(ctx, b)
+	qc := &qctx{ctx: ctx, done: ctx.Done(), b: b}
 	var plans []colPlan
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, e.handleExecPanic(plans, &panicError{val: r, stack: debug.Stack()})
 		}
 		if err != nil {
-			qc.releaseResults()
+			qc.release()
 		}
 	}()
 	root := obs.NewSpan("query")

@@ -51,10 +51,10 @@ const checkpointRows = 1 << 16
 
 // Budget is one logical query's resource budget: the deadline and the
 // rows-scanned and result-row counts charged against Limits. A query
-// that runs on one engine gets a private budget; a caller that fans one
-// logical query out over several engines creates one with NewBudget and
-// passes it to every engine's QueryBudget, so the limits hold for the
-// query as a whole rather than per engine.
+// that runs on one engine gets a private budget for all its attempts; a
+// caller that fans one logical query out over several engines creates
+// one with NewBudget and passes it to every engine's QueryBudget, so the
+// limits hold for the query as a whole rather than per engine.
 type Budget struct {
 	deadline  time.Time // from Limits.MaxDuration; zero = none
 	maxRows   int64     // from Limits.MaxRowsScanned; 0 = none
@@ -65,17 +65,11 @@ type Budget struct {
 
 // NewBudget starts a budget for lim: the MaxDuration clock starts now.
 func NewBudget(lim Limits) *Budget {
-	b := &Budget{}
-	b.init(lim)
-	return b
-}
-
-func (b *Budget) init(lim Limits) {
-	b.maxRows = lim.MaxRowsScanned
-	b.maxResult = lim.MaxResultRows
+	b := &Budget{maxRows: lim.MaxRowsScanned, maxResult: lim.MaxResultRows}
 	if lim.MaxDuration > 0 {
 		b.deadline = time.Now().Add(lim.MaxDuration)
 	}
+	return b
 }
 
 // CheckResult enforces the result-row cap against a result size the
@@ -94,24 +88,13 @@ func (b *Budget) CheckResult(rows int) error {
 type qctx struct {
 	ctx     context.Context
 	done    <-chan struct{}
-	b       *Budget // own, or a budget shared with other engines
-	own     Budget
-	results int // result rows this attempt has charged to b
+	b       *Budget      // one per logical query, maybe shared with other engines
+	rows    atomic.Int64 // rows this attempt has charged to b (workers charge concurrently)
+	results int          // result rows this attempt has charged to b
 	failure atomic.Pointer[error]
 	// span is the query's scan-stage span; executors attach per-segment
 	// and per-worker child spans to it (StartChild is goroutine-safe).
 	span *obs.Span
-}
-
-// newQctx builds the per-query checkpoint state from ctx and b, or from
-// the engine's configured limits when b is nil.
-func (e *Engine) newQctx(ctx context.Context, b *Budget) *qctx {
-	qc := &qctx{ctx: ctx, done: ctx.Done(), b: b}
-	if b == nil {
-		qc.own.init(e.opts.Limits)
-		qc.b = &qc.own
-	}
-	return qc
 }
 
 // fail latches the first failure and returns the winning error.
@@ -136,8 +119,11 @@ func (qc *qctx) check(rows int64) error {
 	}
 	faultinject.Sleep(faultinject.ScanDelay) // no-op unless chaos is active
 	b := qc.b
-	if b.maxRows > 0 && b.rows.Add(rows) > b.maxRows {
-		return qc.fail(fmt.Errorf("%w: more than %d rows scanned", ErrBudget, b.maxRows))
+	if b.maxRows > 0 {
+		qc.rows.Add(rows)
+		if b.rows.Add(rows) > b.maxRows {
+			return qc.fail(fmt.Errorf("%w: more than %d rows scanned", ErrBudget, b.maxRows))
+		}
 	}
 	select {
 	case <-qc.done:
@@ -177,12 +163,13 @@ func (qc *qctx) checkGroups(groups int) error {
 	return nil
 }
 
-// releaseResults returns a failed attempt's result rows to the budget.
-func (qc *qctx) releaseResults() {
-	if qc.results != 0 {
-		qc.b.results.Add(-int64(qc.results))
-		qc.results = 0
-	}
+// release returns a failed attempt's scanned and result rows to the
+// budget, so a retry (or a sibling engine) is charged only for the work
+// of attempts that survive.
+func (qc *qctx) release() {
+	qc.b.rows.Add(-qc.rows.Swap(0))
+	qc.b.results.Add(-int64(qc.results))
+	qc.results = 0
 }
 
 // ticker accumulates one goroutine's scan progress and runs the shared
@@ -346,7 +333,6 @@ func (e *Engine) quarantineLocked(col string, cause error) {
 		defer func() { recover() }() // metadata of a broken skipper may itself panic
 		zones = s.Metadata().Zones
 	}()
-	e.eventSink(col)(obs.Event{Kind: obs.EventQuarantine, Zones: zones})
 	qcause := "corruption"
 	var pe *panicError
 	if errors.As(cause, &pe) {

@@ -268,8 +268,8 @@ func installFaulty(e *Engine, f *faultySkipper) {
 
 func quarantineEvents(e *Engine) int {
 	count := 0
-	for _, ev := range e.Events() {
-		if ev.Kind == obs.EventQuarantine {
+	for _, rec := range e.Ledger().Records() {
+		if rec.Kind == obs.EventQuarantine {
 			count++
 		}
 	}
@@ -416,6 +416,46 @@ func TestWorkerPanicInjection(t *testing.T) {
 	}
 }
 
+// TestQuarantineRetryBudget: a worker panic quarantines the skipper and
+// the query retries as a full scan. The retry charges the same budget as
+// the failed attempt, which must hand its scanned rows back, so a row cap
+// that fits one full scan holds for a private and a shared budget alike.
+func TestQuarantineRetryBudget(t *testing.T) {
+	n := minRowsPerWorker * 6
+	tb := buildIntTable(t, n)
+	lim := Limits{MaxRowsScanned: int64(n) * 5 / 4}
+	for _, kind := range []string{"private", "shared"} {
+		t.Run(kind, func(t *testing.T) {
+			e := New(tb, Options{Policy: PolicyAdaptive, Parallelism: 4, Limits: lim})
+			if err := e.EnableSkipping("v"); err != nil {
+				t.Fatal(err)
+			}
+			var b *Budget
+			if kind == "shared" {
+				b = NewBudget(lim)
+			}
+			restore := faultinject.Activate(faultinject.New(3).
+				Set(faultinject.WorkerPanic, faultinject.Rule{Every: 1, Limit: 1}))
+			res, err := e.QueryBudget(context.Background(), countQuery("v"), b)
+			restore()
+			if err != nil {
+				t.Fatalf("retry after quarantine: %v", err)
+			}
+			if _, ok := e.Quarantined()["v"]; !ok {
+				t.Fatal("setup: worker panic did not quarantine the skipper")
+			}
+			if want := n / 4096 * (2000 - 10 + 1); res.Count != want {
+				t.Fatalf("count=%d want %d", res.Count, want)
+			}
+			// Only the surviving full scan stays charged (tickers charge
+			// whole checkpoints, so at most its n rows).
+			if b != nil && b.rows.Load() > int64(n) {
+				t.Fatalf("shared budget charged %d rows, want at most the retry's %d", b.rows.Load(), n)
+			}
+		})
+	}
+}
+
 func TestRebuildSkippingRestores(t *testing.T) {
 	tb := buildTable(t, 1500, 15)
 	e := New(tb, Options{Policy: PolicyAdaptive, Adaptive: smallAdaptive()})
@@ -437,8 +477,8 @@ func TestRebuildSkippingRestores(t *testing.T) {
 		t.Fatal("no skipper after rebuild")
 	}
 	rebuilds := 0
-	for _, ev := range e.Events() {
-		if ev.Kind == obs.EventRebuild {
+	for _, rec := range e.Ledger().Records() {
+		if rec.Kind == obs.EventRebuild {
 			rebuilds++
 		}
 	}
@@ -554,8 +594,7 @@ func TestVerifySkippingDetectsCorruption(t *testing.T) {
 }
 
 func TestQctxCheckpointBounds(t *testing.T) {
-	e := New(buildIntTable(t, 10), Options{Limits: Limits{MaxRowsScanned: 100_000}})
-	qc := e.newQctx(context.Background(), nil)
+	qc := &qctx{ctx: context.Background(), b: NewBudget(Limits{MaxRowsScanned: 100_000})}
 	tk := &ticker{qc: qc}
 	rows := 0
 	for {

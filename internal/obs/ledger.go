@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -8,14 +9,80 @@ import (
 
 // The adaptation ledger: a bounded journal of zone-lifecycle events with
 // full provenance — what changed, why, which query template triggered it,
-// and the before/after shape of the affected metadata. Where the
-// EventLog answers "how often does the structure change", the ledger
-// answers "was a specific change worth it": every record carries enough
-// context to credit or debit the adaptation that produced it, and the
+// and the before/after shape of the affected metadata. It is the one
+// adaptation journal: /events, the per-kind event counter and the
+// history sampler's event count all read it, and every record carries
+// enough context to credit or debit the adaptation that produced it; the
 // per-table running totals feed the EXPLAIN ANALYZE footer without a
 // ring scan. Appends happen only on structural change (split, merge,
 // fold, first widen, quarantine, rebuild, build/load), never per probe
 // or per scanned row, so the journal costs the scan hot path nothing.
+
+// EventKind classifies one adaptation event.
+type EventKind uint8
+
+// Adaptation event kinds. Structural events (split, merge, tail fold) come
+// from the adaptive zonemaps; arbitration events (disable, enable) from
+// their cost model; lifecycle events from the engine.
+const (
+	EventSplit        EventKind = iota // zones refined from scan statistics
+	EventMerge                         // cold adjacent zones coalesced
+	EventDisable                       // arbitration turned skipping off
+	EventEnable                        // shadow probe turned skipping back on
+	EventTailFold                      // append tail folded into zones
+	EventSkipperBuilt                  // skipping metadata built on a column
+	EventSkipperLoad                   // learned metadata restored from snapshot
+	EventQuarantine                    // skipper failed (panic/corruption); column falls back to full scans
+	EventRebuild                       // quarantined metadata rebuilt from base data
+	EventWiden                         // a zone's value hull loosened in place by an append/update
+)
+
+// MarshalJSON renders the kind by name so event JSON is self-describing.
+func (k EventKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+
+// UnmarshalJSON parses the name form, so clients of /events and
+// /adaptation can decode records back into the exported types.
+func (k *EventKind) UnmarshalJSON(b []byte) error {
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return err
+	}
+	for c := EventSplit; c <= EventWiden; c++ {
+		if c.String() == name {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown event kind %q", name)
+}
+
+// String names the kind.
+func (k EventKind) String() string {
+	switch k {
+	case EventSplit:
+		return "split"
+	case EventMerge:
+		return "merge"
+	case EventDisable:
+		return "disable"
+	case EventEnable:
+		return "enable"
+	case EventTailFold:
+		return "tail-fold"
+	case EventSkipperBuilt:
+		return "skipper-built"
+	case EventSkipperLoad:
+		return "skipper-load"
+	case EventQuarantine:
+		return "quarantine"
+	case EventRebuild:
+		return "rebuild"
+	case EventWiden:
+		return "widen"
+	default:
+		return fmt.Sprintf("EventKind(%d)", uint8(k))
+	}
+}
 
 // LedgerRecord is one zone-lifecycle event with provenance. Row bounds
 // ([RowLo,RowHi)) locate the affected region; Min/Max Before/After are

@@ -1,6 +1,6 @@
 // Package obs is the engine-wide observability layer: an atomic metrics
 // registry (counters, gauges, fixed-bucket histograms), per-query traces
-// with phase timings, and a bounded adaptation-event log.
+// with phase timings, and a bounded adaptation ledger.
 //
 // The package is zero-dependency (standard library only) and built for an
 // always-on deployment: reading or bumping a metric on the scan path is a

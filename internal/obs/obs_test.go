@@ -148,40 +148,23 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-func TestEventLogRing(t *testing.T) {
-	l := NewEventLog(4)
-	for i := 0; i < 6; i++ {
-		l.Append(Event{Table: "t", Column: "v", Kind: EventSplit, Zones: i})
-	}
-	if got := l.Seq(); got != 6 {
-		t.Fatalf("seq = %d, want 6", got)
-	}
-	if got := l.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
-	evs := l.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := uint64(i + 3); ev.Seq != want {
-			t.Fatalf("event[%d].Seq = %d, want %d (ring order broken)", i, ev.Seq, want)
-		}
-		if ev.Time.IsZero() {
-			t.Fatalf("event[%d] missing timestamp", i)
-		}
-	}
-}
-
 func TestEventKindStrings(t *testing.T) {
 	kinds := map[EventKind]string{
 		EventSplit: "split", EventMerge: "merge", EventDisable: "disable",
 		EventEnable: "enable", EventTailFold: "tail-fold",
 		EventSkipperBuilt: "skipper-built", EventSkipperLoad: "skipper-load",
+		EventQuarantine: "quarantine", EventRebuild: "rebuild", EventWiden: "widen",
+	}
+	if len(kinds) != int(EventWiden)+1 {
+		t.Fatalf("table covers %d kinds, want all %d", len(kinds), int(EventWiden)+1)
 	}
 	for k, want := range kinds {
 		if k.String() != want {
 			t.Errorf("EventKind(%d).String() = %q, want %q", k, k.String(), want)
+		}
+		var back EventKind
+		if b, err := k.MarshalJSON(); err != nil || back.UnmarshalJSON(b) != nil || back != k {
+			t.Errorf("EventKind(%d) does not round-trip through JSON (%s, %v)", k, b, err)
 		}
 	}
 }

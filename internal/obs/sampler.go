@@ -55,8 +55,8 @@ type HistorySample struct {
 	// histograms (merged across tables), in seconds.
 	LatencyP50 float64 `json:"latency_p50_seconds"`
 	LatencyP95 float64 `json:"latency_p95_seconds"`
-	// AdaptEvents is the cumulative adaptation-event count (splits,
-	// merges, arbitration flips, quarantines).
+	// AdaptEvents is the cumulative adaptation-ledger record count
+	// (splits, merges, widens, arbitration flips, quarantines).
 	AdaptEvents int64 `json:"adapt_events"`
 	// WALLagSeconds is the age of the oldest write-ahead-log record not
 	// yet fsynced (0 when no WAL is configured or nothing is pending).

@@ -2,7 +2,7 @@
 // opt-in net/http endpoint exposing Prometheus metrics, pprof profiles,
 // recent query traces (browsable as JSON or downloadable as Chrome
 // trace_event files), the per-zone skipping-effectiveness heatmap, the
-// adaptation-event log, and sampled Go runtime statistics.
+// adaptation ledger, and sampled Go runtime statistics.
 //
 // The server is strictly read-only and pull-based: it snapshots state the
 // engine already maintains (metric registries, trace rings, skipper
@@ -37,8 +37,9 @@ type Source struct {
 	Traces *obs.TraceRing
 	// SlowTraces is the slow-query log behind /slow.
 	SlowTraces *obs.TraceRing
-	// Events returns the retained adaptation events (chronological).
-	Events func() []obs.Event
+	// Events returns the retained adaptation-ledger records
+	// (chronological).
+	Events func() []obs.LedgerRecord
 	// Skipmap returns per-table skipping-effectiveness snapshots with at
 	// most maxZones of per-zone detail per column.
 	Skipmap func(maxZones int) []obs.SkipmapTable
@@ -170,7 +171,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 <li><a href="/traces">/traces</a> — recent query traces (add <code>?format=chrome</code> for a chrome://tracing file)</li>
 <li><a href="/slow">/slow</a> — slow-query log</li>
 <li><a href="/skipmap">/skipmap</a> — per-zone skipping-effectiveness heatmap (add <code>?zones=N</code>)</li>
-<li><a href="/events">/events</a> — adaptation-event log</li>
+<li><a href="/events">/events</a> — adaptation-ledger records (the adaptation journal)</li>
 <li><a href="/runtime">/runtime</a> — sampled Go runtime statistics</li>
 <li><a href="/history">/history</a> — adaptation timeline (sampled skip ratio, latency quantiles, per-column series)</li>
 <li><a href="/health">/health</a> — SLO snapshot / readiness probe (503 while any objective is critical)</li>
@@ -351,14 +352,14 @@ func (s *Server) handleSkipmap(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, tables)
 }
 
-// handleEvents serves the adaptation-event log.
+// handleEvents serves the adaptation ledger's retained records.
 func (s *Server) handleEvents(w http.ResponseWriter, _ *http.Request) {
-	var evs []obs.Event
+	var evs []obs.LedgerRecord
 	if s.src.Events != nil {
 		evs = s.src.Events()
 	}
 	if evs == nil {
-		evs = []obs.Event{}
+		evs = []obs.LedgerRecord{}
 	}
 	writeJSON(w, evs)
 }

@@ -24,7 +24,9 @@ func testSource() Source {
 	return Source{
 		Registry: reg,
 		Traces:   ring,
-		Events:   func() []obs.Event { return []obs.Event{{Table: "t", Column: "v", Kind: obs.EventSplit}} },
+		Events: func() []obs.LedgerRecord {
+			return []obs.LedgerRecord{{Table: "t", Column: "v", Kind: obs.EventSplit, Cause: "split-gain"}}
+		},
 		Skipmap: func(maxZones int) []obs.SkipmapTable {
 			zones := []obs.SkipmapZone{{Lo: 0, Hi: 64, Min: 1, Max: 9, NonNull: 64, Hits: 3, Misses: 1}}
 			if maxZones == 0 {
@@ -89,6 +91,14 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(body), &chrome); err != nil || len(chrome.TraceEvents) != 2 {
 		t.Fatalf("chrome export: err=%v events=%d\n%s", err, len(chrome.TraceEvents), body)
+	}
+
+	// /events serves ledger records, which decode back into the type.
+	_, body = get(t, srv.URL()+"/events")
+	var recs []obs.LedgerRecord
+	if err := json.Unmarshal([]byte(body), &recs); err != nil || len(recs) != 1 ||
+		recs[0].Kind != obs.EventSplit || recs[0].Cause != "split-gain" {
+		t.Fatalf("/events = %v %+v\n%s", err, recs, body)
 	}
 
 	// /skipmap default includes zone detail; zones=0 strips it; junk is 400.

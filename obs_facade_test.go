@@ -3,6 +3,8 @@ package adskip
 import (
 	"strings"
 	"testing"
+
+	"adskip/internal/obs"
 )
 
 // TestMetricsThroughFacade checks the public observability surface: every
@@ -45,21 +47,23 @@ func TestMetricsThroughFacade(t *testing.T) {
 		}
 	}
 
-	// Enabling skipping emitted lifecycle events for all three columns.
-	evs := db.AdaptationEvents()
-	if len(evs) < 3 {
-		t.Fatalf("adaptation events = %d, want >= 3 (skipper-built per column)", len(evs))
+	// Enabling skipping journaled a build record for all three columns.
+	recs := db.AdaptationEvents()
+	if len(recs) < 3 {
+		t.Fatalf("adaptation records = %d, want >= 3 (skipper-built per column)", len(recs))
 	}
 	seen := map[string]bool{}
-	for _, ev := range evs {
-		if ev.Table != "sales" {
-			t.Fatalf("event with wrong table: %+v", ev)
+	for _, rec := range recs {
+		if rec.Table != "sales" {
+			t.Fatalf("record with wrong table: %+v", rec)
 		}
-		seen[ev.Column] = true
+		if rec.Kind == obs.EventSkipperBuilt && rec.Cause == "build" && rec.RowHi == 5 {
+			seen[rec.Column] = true
+		}
 	}
 	for _, col := range []string{"id", "price", "city"} {
 		if !seen[col] {
-			t.Errorf("no lifecycle event for column %q: %v", col, evs)
+			t.Errorf("no build record for column %q: %v", col, recs)
 		}
 	}
 }

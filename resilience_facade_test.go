@@ -198,13 +198,13 @@ func TestQuarantineLifecycleThroughFacade(t *testing.T) {
 		t.Fatalf("quarantined=%v, want column v", q)
 	}
 	found := false
-	for _, ev := range db.AdaptationEvents() {
-		if ev.Kind == obs.EventQuarantine && ev.Column == "v" {
+	for _, rec := range db.AdaptationEvents() {
+		if rec.Kind == obs.EventQuarantine && rec.Column == "v" && rec.Cause == "corruption" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("no quarantine event in AdaptationEvents")
+		t.Fatal("no corruption quarantine record in AdaptationEvents")
 	}
 
 	if err := tab.RebuildSkipping(); err != nil {
