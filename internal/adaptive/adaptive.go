@@ -414,7 +414,7 @@ func (z *Zonemap) appendZones(codes []int64, nulls *bitvec.BitVec, from, to int)
 			hi = to
 		}
 		nz := zone{lo: lo, hi: hi, heat: 0.5}
-		min, max, ok := scan.MinMaxRange(codes, lo, hi, nulls, 0)
+		min, max, ok := scan.MinMaxRange(codes, lo, hi, nulls)
 		if ok {
 			nz.min, nz.max = min, max
 			nz.nonNull = hi - lo

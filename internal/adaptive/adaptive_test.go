@@ -23,7 +23,7 @@ func oneRange(lo, hi int64) expr.Ranges {
 func execute(z *Zonemap, codes []int64, nulls *bitvec.BitVec, r expr.Ranges) int {
 	res := z.Prune(r)
 	if !res.Enabled {
-		count := scan.CountRanges(codes, 0, len(codes), r, nulls, 0)
+		count := scan.CountRanges(codes, 0, len(codes), r, nulls)
 		z.Observe(res, nil)
 		return count
 	}
@@ -34,12 +34,12 @@ func execute(z *Zonemap, codes []int64, nulls *bitvec.BitVec, r expr.Ranges) int
 		if c.Covered {
 			count += c.Hi - c.Lo
 		} else if c.WantStats {
-			m, stats := scan.CountWithStats(codes, c.Lo, c.Hi, r, nulls, 0, c.StatParts)
+			m, stats := scan.CountWithStats(codes, c.Lo, c.Hi, r, nulls, c.StatParts)
 			count += m
 			ob.Matched = m
 			ob.Stats = stats
 		} else {
-			m := scan.CountRanges(codes, c.Lo, c.Hi, r, nulls, 0)
+			m := scan.CountRanges(codes, c.Lo, c.Hi, r, nulls)
 			count += m
 			ob.Matched = m
 		}
@@ -132,7 +132,7 @@ func TestCountsMatchNaiveOnEveryDistribution(t *testing.T) {
 			lo := rng.Int63n(5200) - 100
 			r := oneRange(lo, lo+rng.Int63n(500))
 			got := execute(z, codes, nil, r)
-			want := scan.CountRanges(codes, 0, 1000, r, nil, 0)
+			want := scan.CountRanges(codes, 0, 1000, r, nil)
 			if got != want {
 				t.Fatalf("%s q%d: got %d want %d", name, q, got, want)
 			}
@@ -254,7 +254,7 @@ func TestArbitrationDisablesOnAdversarialData(t *testing.T) {
 	}
 	// Counts remain correct while disabled.
 	got := execute(z, codes, nil, oneRange(40, 60))
-	want := scan.CountRanges(codes, 0, 1000, oneRange(40, 60), nil, 0)
+	want := scan.CountRanges(codes, 0, 1000, oneRange(40, 60), nil)
 	if got != want {
 		t.Fatalf("disabled count %d want %d", got, want)
 	}
@@ -450,7 +450,7 @@ func TestQuickAdaptiveSoundness(t *testing.T) {
 				lo := rng.Int63n(400) - 50
 				r := oneRange(lo, lo+rng.Int63n(150))
 				got := execute(z, codes, nulls, r)
-				want := scan.CountRanges(codes, 0, len(codes), r, nulls, 0)
+				want := scan.CountRanges(codes, 0, len(codes), r, nulls)
 				if got != want {
 					return false
 				}

@@ -69,56 +69,28 @@ func newAggAcc(kind AggKind, col *storage.Column) *aggAcc {
 	return &aggAcc{kind: kind, col: col}
 }
 
-// addRow folds in one qualifying row.
-func (a *aggAcc) addRow(row int) {
-	a.rows++
-	if a.col == nil {
-		return
+// add folds in qualifying rows: the listed rows when sel is non-nil, the
+// window [lo, hi) otherwise (a covered candidate). CountStar needs no
+// data read; other aggregates read the rows.
+func (a *aggAcc) add(lo, hi int, sel []uint32) {
+	if sel != nil {
+		lo, hi = 0, len(sel)
 	}
-	if a.col.IsNull(row) {
-		return
-	}
-	a.n++
-	c := a.col.Codes()[row]
-	switch a.col.Type() {
-	case storage.Int64:
-		a.sumI += c
-	case storage.Float64:
-		a.sumF += storage.DecodeFloat64(c)
-	}
-	if !a.seen {
-		a.minC, a.maxC = c, c
-		a.seen = true
-	} else {
-		if c < a.minC {
-			a.minC = c
-		}
-		if c > a.maxC {
-			a.maxC = c
-		}
-	}
-}
-
-// addWindow folds in a window of rows known to all qualify (a covered
-// candidate). CountStar needs no data read; other aggregates read the
-// window.
-func (a *aggAcc) addWindow(lo, hi int) {
 	a.rows += int64(hi - lo)
 	if a.col == nil {
 		return
 	}
-	if a.kind == CountCol && !a.col.HasNulls() {
-		a.n += int64(hi - lo)
-		return
-	}
 	codes := a.col.Codes()
-	nulls := a.col.Nulls()
 	for i := lo; i < hi; i++ {
-		if nulls != nil && nulls.Get(i) {
+		row := i
+		if sel != nil {
+			row = int(sel[i])
+		}
+		if a.col.IsNull(row) {
 			continue
 		}
+		c := codes[row]
 		a.n++
-		c := codes[i]
 		switch a.col.Type() {
 		case storage.Int64:
 			a.sumI += c
@@ -126,16 +98,11 @@ func (a *aggAcc) addWindow(lo, hi int) {
 			a.sumF += storage.DecodeFloat64(c)
 		}
 		if !a.seen {
-			a.minC, a.maxC = c, c
-			a.seen = true
-		} else {
-			if c < a.minC {
-				a.minC = c
-			}
-			if c > a.maxC {
-				a.maxC = c
-			}
+			a.minC, a.maxC, a.seen = c, c, true
+			continue
 		}
+		a.minC = min(a.minC, c)
+		a.maxC = max(a.maxC, c)
 	}
 }
 

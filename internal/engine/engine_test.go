@@ -245,6 +245,50 @@ func TestProjectionAndLimit(t *testing.T) {
 	}
 }
 
+// TestRowsCoveredSameForEveryShape checks that covered windows count
+// toward RowsCovered alike for every result shape, and that a LIMITed
+// projection counts only the covered rows it actually emitted.
+func TestRowsCoveredSameForEveryShape(t *testing.T) {
+	tb := table.MustNew("t", table.Schema{{Name: "v", Type: storage.Int64}, {Name: "g", Type: storage.Int64}})
+	for i := 0; i < 262144; i++ {
+		if err := tb.AppendRow(storage.IntValue(int64(i)), storage.IntValue(int64(i%7))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(tb, Options{Policy: PolicyStatic, StaticZoneSize: 4096})
+	if err := e.EnableSkipping("v"); err != nil {
+		t.Fatal(err)
+	}
+	// Zones [12288,16384) .. [53248,57344) lie inside the range: 11 x 4096.
+	where := expr.And(intPred("v", expr.Between, 10000, 60000))
+	const covered = 45056
+	shapes := map[string]Query{
+		"count":      {Where: where, Aggs: []Agg{{Kind: CountStar}}},
+		"sum":        {Where: where, Aggs: []Agg{{Kind: Sum, Col: "g"}}},
+		"group by":   {Where: where, GroupBy: "g", Aggs: []Agg{{Kind: CountStar}}},
+		"projection": {Where: where, Select: []string{"v"}},
+		"order by":   {Where: where, Select: []string{"v"}, OrderBy: "g", Limit: 5},
+	}
+	for name, q := range shapes {
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.RowsCovered != covered {
+			t.Errorf("%s: rows_covered=%d, want %d", name, res.Stats.RowsCovered, covered)
+		}
+	}
+	// The first 2288 matches lie in the partial zone [8192,12288); a
+	// LIMIT of 3000 then emits 712 rows of the first covered zone.
+	res, err := e.Query(Query{Where: where, Select: []string{"v"}, Limit: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.RowsCovered != 712 {
+		t.Fatalf("limited projection: rows_covered=%d, want 712", res.Stats.RowsCovered)
+	}
+}
+
 func TestMultiColumnConjunction(t *testing.T) {
 	tb := buildTable(t, 1000, 7)
 	for _, policy := range []Policy{PolicyNone, PolicyStatic, PolicyAdaptive, PolicyImprint} {

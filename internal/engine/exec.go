@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strconv"
 	"time"
 
 	"adskip/internal/bitvec"
@@ -178,14 +179,12 @@ func (e *Engine) queryOnce(ctx context.Context, q Query, b *Budget) (out *Result
 
 	// Validate aggregates and projections up front.
 	accs := make([]*aggAcc, len(q.Aggs))
-	aggCols := make([]*storage.Column, len(q.Aggs))
 	for i, a := range q.Aggs {
 		col, err := e.validateAgg(a)
 		if err != nil {
 			return nil, err
 		}
 		accs[i] = newAggAcc(a.Kind, col)
-		aggCols[i] = col
 	}
 	var grp *grouper
 	if q.GroupBy != "" {
@@ -198,7 +197,11 @@ func (e *Engine) queryOnce(ctx context.Context, q Query, b *Budget) (out *Result
 				return nil, fmt.Errorf("engine: column %q in select list is not the GROUP BY column", name)
 			}
 		}
-		grp = newGrouper(gcol, q.Aggs, aggCols)
+		aggCols := make([]*storage.Column, len(accs))
+		for i, a := range accs {
+			aggCols[i] = a.col
+		}
+		grp = newGrouper(qc, gcol, q.Aggs, aggCols)
 	}
 	var projCols []*storage.Column
 	if grp == nil {
@@ -225,6 +228,24 @@ func (e *Engine) queryOnce(ctx context.Context, q Query, b *Budget) (out *Result
 		if err != nil {
 			return nil, err
 		}
+	}
+	// The consumer of the walk's qualifying rows; nil for count-only
+	// queries, which need nothing but the count. Only an unordered
+	// projection stops the walk early, at its LIMIT.
+	var sink rowSink
+	var ord *orderer
+	walkLimit := 0
+	switch {
+	case grp != nil:
+		sink = grp
+	case orderCol != nil:
+		ord = &orderer{qc: qc, accs: accs, cols: projCols, by: orderCol, desc: q.OrderDesc, limit: q.Limit}
+		sink = ord
+	case len(projCols) > 0:
+		sink = &projector{qc: qc, res: res, cols: projCols, accs: accs}
+		walkLimit = q.Limit
+	case !countOnly(accs):
+		sink = aggSink(accs)
 	}
 
 	tr.Plan = time.Since(tr.Start)
@@ -270,13 +291,13 @@ func (e *Engine) queryOnce(ctx context.Context, q Query, b *Budget) (out *Result
 
 	tScan := time.Now()
 	qc.span = root.StartChild("scan")
-	switch {
-	case grp == nil && len(plans) == 1 && len(projCols) == 0 && countOnly(accs):
-		err = e.execFastCount(qc, &plans[0], res, accs, n)
-	case orderCol != nil:
-		err = e.execOrdered(qc, plans, res, accs, projCols, orderCol, q.OrderDesc, q.Limit, n)
-	default:
-		err = e.execGeneral(qc, plans, res, accs, projCols, grp, q.Limit, n)
+	if sink == nil && len(plans) == 1 {
+		err = e.execFastCount(qc, &plans[0], res, n)
+	} else {
+		err = e.execGeneral(qc, plans, res, sink, walkLimit, n)
+		if err == nil && ord != nil {
+			err = ord.finish(res)
+		}
 	}
 	if err != nil {
 		// A worker panic surfaces here as an error (recovered in its own
@@ -372,6 +393,8 @@ func (e *Engine) observeTimed(p *colPlan, zobs []core.ZoneObservation) {
 }
 
 // finish materializes aggregate or grouped output onto the result.
+// COUNT(*) accumulators that count-only execution bypassed take the
+// final count.
 func (e *Engine) finish(res *Result, accs []*aggAcc, grp *grouper, limit int) *Result {
 	if grp != nil {
 		res.Columns, res.Types, res.Rows = grp.result()
@@ -380,7 +403,12 @@ func (e *Engine) finish(res *Result, accs []*aggAcc, grp *grouper, limit int) *R
 		}
 		return res
 	}
-	e.finishAggs(res, accs)
+	for _, a := range accs {
+		if a.kind == CountStar && a.rows == 0 {
+			a.rows = int64(res.Count)
+		}
+		res.Aggs = append(res.Aggs, a.result())
+	}
 	return res
 }
 
@@ -433,38 +461,18 @@ func countOnly(accs []*aggAcc) bool {
 	return true
 }
 
-// finishAggs materializes aggregate results from the accumulated state
-// plus the final count.
-func (e *Engine) finishAggs(res *Result, accs []*aggAcc) {
-	for _, a := range accs {
-		// COUNT(*) accumulators may have been bypassed by the fast count
-		// path, which tracks res.Count directly.
-		if a.kind == CountStar && a.rows == 0 {
-			a.rows = int64(res.Count)
-		}
-		res.Aggs = append(res.Aggs, a.result())
-	}
-}
-
 // execFastCount is the hot path: one predicate column, COUNT(*)-only.
 // It scans zone-aligned so adaptive skippers receive exact per-zone
-// feedback with piggybacked statistics. On error (cancellation, budget,
-// worker panic) no feedback is given: partially scanned zones would
-// report misleading match counts and corrupt adaptation.
-func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, accs []*aggAcc, n int) error {
-	workers := e.opts.Parallelism
+// feedback with piggybacked statistics; an inactive skipper's full scan
+// is one unattributed window. On error (cancellation, budget, worker
+// panic) no feedback is given: partially scanned zones would report
+// misleading match counts and corrupt adaptation.
+func (e *Engine) execFastCount(qc *qctx, p *colPlan, res *Result, n int) error {
+	zones := p.res.Zones
 	if !p.active {
-		// Full scan, no metadata.
-		count, err := e.parallelCountFull(qc, p, n, workers)
-		if err != nil {
-			return err
-		}
-		res.Count = count
-		res.Stats.RowsScanned = n
-		e.observeTimed(p, nil)
-		return nil
+		zones = []core.CandidateZone{{ID: core.NoZoneID, Lo: 0, Hi: n}}
 	}
-	count, obs, stats, err := e.parallelCountZones(qc, p, p.res.Zones, workers)
+	count, obs, stats, err := e.parallelCountZones(qc, p, zones, e.opts.Parallelism)
 	if err != nil {
 		return err
 	}
@@ -488,11 +496,25 @@ type seg struct {
 // cost stays independent of zone count.
 const maxSegmentSpans = 16
 
-// execGeneral handles every other query shape: multi-column conjunctions,
-// aggregates over data, and projections. Kernel scans are chunked at
-// checkpoint granularity; covered windows (no kernel work) get one
-// free check per segment so even all-covered queries stay cancelable.
-func (e *Engine) execGeneral(qc *qctx, plans []colPlan, res *Result, accs []*aggAcc, projCols []*storage.Column, grp *grouper, limit, n int) error {
+// rowSink consumes the qualifying rows the walk finds, in row order:
+// covered windows, whose rows all qualify, and batches of selected row
+// ids. Batches are at most checkpointRows rows, so a sink that checks a
+// result cap checks it at checkpoint granularity.
+type rowSink interface {
+	covered(lo, hi int) error
+	selected(rows []uint32) error
+}
+
+// execGeneral is the engine's one walk over the intersected candidate
+// windows, used by every query shape but the single-column COUNT fast
+// path. Per window it runs a checkpoint, then either hands a covered
+// window to the sink in checkpoint-sized chunks, charged as rows read,
+// or filters the window by its first needed predicate, refines by the
+// rest and hands over the survivors. A nil sink (count-only) only counts:
+// its covered windows read no data and are not charged. res.Count sums
+// the rows handed over, and limit > 0 stops the walk once it reaches
+// limit.
+func (e *Engine) execGeneral(qc *qctx, plans []colPlan, res *Result, sink rowSink, limit, n int) error {
 	segs := []seg{{lo: 0, hi: n}}
 	for i := range plans {
 		segs = intersectPlan(segs, &plans[i], uint64(1)<<uint(i), n)
@@ -500,21 +522,25 @@ func (e *Engine) execGeneral(qc *qctx, plans []colPlan, res *Result, accs []*agg
 
 	tk := &ticker{qc: qc}
 	sel := bitvec.NewSelVec(1024)
-	spanPerSeg := qc.span != nil && len(segs) <= maxSegmentSpans
-	done := false
-	for _, s := range segs {
-		if done {
+	var spans []obs.Span
+	if qc.span != nil && len(segs) <= maxSegmentSpans {
+		spans = segmentSpans(segs)
+	}
+	for i, s := range segs {
+		if limit > 0 && res.Count >= limit {
 			break
 		}
 		if err := qc.check(0); err != nil {
 			return err
 		}
 		var sp *obs.Span
-		if spanPerSeg {
-			sp = qc.span.StartChild(fmt.Sprintf("segment [%d,%d)", s.lo, s.hi))
+		if spans != nil {
+			sp = &spans[i]
+			sp.Start = time.Now()
+			qc.span.Attach(sp)
 		}
 		before := res.Count
-		err := e.execSegment(qc, plans, res, accs, projCols, grp, limit, s, tk, sel, &done)
+		err := walkSegment(tk, plans, s, sel, res, sink, limit)
 		if sp != nil {
 			sp.FinishRows(s.hi-s.lo, res.Count-before, 0)
 		}
@@ -527,57 +553,51 @@ func (e *Engine) execGeneral(qc *qctx, plans []colPlan, res *Result, accs []*agg
 	return nil
 }
 
-// execSegment runs one contiguous candidate window: covered fast paths
-// when no predicate needs evaluation, otherwise filter + refine + consume.
-func (e *Engine) execSegment(qc *qctx, plans []colPlan, res *Result, accs []*aggAcc, projCols []*storage.Column, grp *grouper, limit int, s seg, tk *ticker, sel *bitvec.SelVec, done *bool) error {
+// segmentSpans builds one unstarted "segment [lo,hi)" span per window,
+// at most maxSegmentSpans, with every span in one allocation and every
+// name in another, so tracing a walk costs a fixed few allocations
+// however many windows it has.
+func segmentSpans(segs []seg) []obs.Span {
+	var buf [maxSegmentSpans * 52]byte
+	var ends [maxSegmentSpans]int
+	b := buf[:0]
+	for i, s := range segs {
+		b = append(b, "segment ["...)
+		b = strconv.AppendInt(b, int64(s.lo), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(s.hi), 10)
+		b = append(b, ')')
+		ends[i] = len(b)
+	}
+	names := string(b)
+	spans := make([]obs.Span, len(segs))
+	start := 0
+	for i := range spans {
+		spans[i].Name = names[start:ends[i]]
+		start = ends[i]
+	}
+	return spans
+}
+
+// walkSegment hands one candidate window's qualifying rows to sink.
+func walkSegment(tk *ticker, plans []colPlan, s seg, sel *bitvec.SelVec, res *Result, sink rowSink, limit int) error {
 	if s.needEval == 0 {
-		// Every row in the window qualifies. Count-only coverage reads
-		// no data and stays checkpoint-free; grouping, aggregation, and
-		// projection all read the covered rows, so they run in
-		// checkpoint-sized chunks like any other scan.
-		if grp != nil {
+		if sink == nil {
 			res.Count += s.hi - s.lo
 			res.Stats.RowsCovered += s.hi - s.lo
-			for lo := s.lo; lo < s.hi; {
-				end := lo + checkpointRows
-				if end > s.hi {
-					end = s.hi
-				}
-				grp.addWindow(lo, end)
-				if err := tk.tick(end - lo); err != nil {
-					return err
-				}
-				if err := qc.checkGroups(len(grp.groups)); err != nil {
-					return err
-				}
-				lo = end
-			}
 			return nil
 		}
-		if len(projCols) == 0 {
-			res.Count += s.hi - s.lo
-			res.Stats.RowsCovered += s.hi - s.lo
-			for lo := s.lo; len(accs) > 0 && lo < s.hi; {
-				end := lo + checkpointRows
-				if end > s.hi {
-					end = s.hi
-				}
-				for _, a := range accs {
-					a.addWindow(lo, end)
-				}
-				if err := tk.tick(end - lo); err != nil {
-					return err
-				}
-				lo = end
+		for lo := s.lo; lo < s.hi; lo += checkpointRows {
+			k := clip(min(s.hi-lo, checkpointRows), limit, res.Count)
+			if k == 0 {
+				return nil
 			}
-			return nil
-		}
-		for row := s.lo; row < s.hi && !*done; row++ {
-			if err := tk.tick(1); err != nil {
+			if err := sink.covered(lo, lo+k); err != nil {
 				return err
 			}
-			var err error
-			if *done, err = e.emitRow(qc, res, accs, projCols, row, limit); err != nil {
+			res.Count += k
+			res.Stats.RowsCovered += k
+			if err := tk.tick(k); err != nil {
 				return err
 			}
 		}
@@ -587,7 +607,6 @@ func (e *Engine) execSegment(qc *qctx, plans []colPlan, res *Result, accs []*agg
 	// refine with the rest.
 	sel.Reset()
 	first := true
-	matched := 0
 	for i := range plans {
 		if s.needEval&(uint64(1)<<uint(i)) == 0 {
 			continue
@@ -597,7 +616,6 @@ func (e *Engine) execSegment(qc *qctx, plans []colPlan, res *Result, accs []*agg
 			if err := filterSegChunked(tk, p, s, sel); err != nil {
 				return err
 			}
-			matched = sel.Len()
 			res.Stats.RowsScanned += s.hi - s.lo
 			first = false
 			continue
@@ -606,68 +624,97 @@ func (e *Engine) execSegment(qc *qctx, plans []colPlan, res *Result, accs []*agg
 		if err := tk.tick(sel.Len()); err != nil {
 			return err
 		}
-		matched = refineSel(sel, p)
-		if matched == 0 {
+		if refineSel(sel, p) == 0 {
 			break
 		}
 	}
-	// The matched rows were already charged by the filter passes above;
-	// the consumption loops below only need latency checkpoints
-	// (qc.check(0)) so huge match sets stay cancelable.
-	if grp != nil {
-		res.Count += matched
-		for rows := sel.Rows(); len(rows) > 0; {
-			chunk := rows
-			if len(chunk) > checkpointRows {
-				chunk = chunk[:checkpointRows]
-			}
-			for _, row := range chunk {
-				grp.addRow(int(row))
-			}
-			rows = rows[len(chunk):]
-			if err := qc.check(0); err != nil {
-				return err
-			}
-		}
-		if err := qc.checkGroups(len(grp.groups)); err != nil {
-			return err
-		}
+	if sink == nil {
+		res.Count += sel.Len()
 		return nil
 	}
-	if len(projCols) == 0 {
-		res.Count += matched
-		for rows := sel.Rows(); len(rows) > 0; {
-			chunk := rows
-			if len(chunk) > checkpointRows {
-				chunk = chunk[:checkpointRows]
-			}
-			for _, row := range chunk {
-				for _, a := range accs {
-					a.addRow(int(row))
-				}
-			}
-			rows = rows[len(chunk):]
-			if err := qc.check(0); err != nil {
-				return err
-			}
+	// The selected rows were already charged by the filter passes above;
+	// handing them over only needs latency checkpoints so huge match sets
+	// stay cancelable.
+	for rows := sel.Rows(); len(rows) > 0; {
+		k := clip(min(len(rows), checkpointRows), limit, res.Count)
+		if k == 0 {
+			return nil
 		}
-		return nil
-	}
-	for i, row := range sel.Rows() {
-		if i%checkpointRows == checkpointRows-1 {
-			if err := qc.check(0); err != nil {
-				return err
-			}
-		}
-		var err error
-		if *done, err = e.emitRow(qc, res, accs, projCols, int(row), limit); err != nil {
+		if err := sink.selected(rows[:k]); err != nil {
 			return err
 		}
-		if *done {
-			break
+		res.Count += k
+		rows = rows[k:]
+		if err := tk.qc.check(0); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// clip cuts a batch of k rows to what limit (0 = none) leaves after done.
+func clip(k, limit, done int) int {
+	if limit > 0 {
+		return min(k, limit-done)
+	}
+	return k
+}
+
+// aggSink folds qualifying rows into global aggregates.
+type aggSink []*aggAcc
+
+func (as aggSink) covered(lo, hi int) error {
+	for _, a := range as {
+		a.add(lo, hi, nil)
+	}
+	return nil
+}
+
+func (as aggSink) selected(rows []uint32) error {
+	for _, a := range as {
+		a.add(0, 0, rows)
+	}
+	return nil
+}
+
+// projector materializes qualifying rows (charged against the result
+// cap) and folds them into any aggregates alongside the projection.
+type projector struct {
+	qc   *qctx
+	res  *Result
+	cols []*storage.Column
+	accs aggSink
+	ids  []uint32 // row ids of a covered window, reused
+}
+
+func (p *projector) covered(lo, hi int) error {
+	p.ids = p.ids[:0]
+	for r := lo; r < hi; r++ {
+		p.ids = append(p.ids, uint32(r))
+	}
+	return p.selected(p.ids)
+}
+
+func (p *projector) selected(rows []uint32) error {
+	if err := p.qc.checkResult(len(p.res.Rows) + len(rows)); err != nil {
+		return err
+	}
+	appendRows(p.res, p.cols, rows)
+	return p.accs.selected(rows)
+}
+
+// appendRows materializes the listed rows of cols onto res.Rows, with
+// every cell in one allocation.
+func appendRows(res *Result, cols []*storage.Column, rows []uint32) {
+	nc := len(cols)
+	cells := make([]storage.Value, len(rows)*nc)
+	for i, r := range rows {
+		vals := cells[i*nc : (i+1)*nc : (i+1)*nc]
+		for ci, col := range cols {
+			vals[ci] = col.Value(int(r))
+		}
+		res.Rows = append(res.Rows, vals)
+	}
 }
 
 // filterSegChunked runs the segment's first predicate filter in
@@ -681,31 +728,13 @@ func filterSegChunked(tk *ticker, p *colPlan, s seg, sel *bitvec.SelVec) error {
 		if p.pred.NullOnly {
 			scan.FilterNullSel(p.col.Nulls(), lo, hi, sel)
 		} else {
-			scan.FilterSel(p.col.Codes(), lo, hi, p.pred.R, p.col.Nulls(), 0, sel)
+			scan.FilterSel(p.col.Codes(), lo, hi, p.pred.R, p.col.Nulls(), sel)
 		}
 		if err := tk.tick(hi - lo); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// emitRow appends one projected row; done reports the limit being hit,
-// err a blown result budget.
-func (e *Engine) emitRow(qc *qctx, res *Result, accs []*aggAcc, projCols []*storage.Column, row, limit int) (done bool, err error) {
-	if err := qc.checkResult(len(res.Rows) + 1); err != nil {
-		return true, err
-	}
-	vals := make([]storage.Value, len(projCols))
-	for ci, col := range projCols {
-		vals[ci] = col.Value(row)
-	}
-	res.Rows = append(res.Rows, vals)
-	res.Count++
-	for _, a := range accs {
-		a.addRow(row)
-	}
-	return limit > 0 && len(res.Rows) >= limit, nil
 }
 
 // refineSel keeps only selected rows matching plan p's predicate; returns
@@ -753,15 +782,13 @@ func refineSel(sel *bitvec.SelVec, p *colPlan) int {
 // intersectPlan intersects the current segment list with one plan's
 // candidate windows, OR-ing the plan's eval bit into windows it does not
 // cover. Plans whose skipper declined contribute the full range,
-// uncovered.
+// uncovered: their bit is OR-ed into segs in place.
 func intersectPlan(segs []seg, p *colPlan, bit uint64, n int) []seg {
 	if !p.active {
-		out := make([]seg, len(segs))
-		for i, s := range segs {
-			s.needEval |= bit
-			out[i] = s
+		for i := range segs {
+			segs[i].needEval |= bit
 		}
-		return out
+		return segs
 	}
 	var out []seg
 	zi := 0

@@ -8,11 +8,13 @@ import (
 )
 
 // grouper implements single-column GROUP BY aggregation: it maintains one
-// accumulator set per distinct group code (plus a NULL group), fed row by
-// row or window by window from the executor's qualifying-row machinery.
+// accumulator set per distinct group code (plus a NULL group), fed
+// covered windows and selected-row batches by the executor's walk, and
+// enforces the result-row cap on its groups as they grow.
 // Group codes order-preserve values, so results sort by code and come back
 // in value order.
 type grouper struct {
+	qc      *qctx
 	col     *storage.Column
 	aggs    []Agg
 	accCols []*storage.Column // resolved aggregate input columns
@@ -20,10 +22,10 @@ type grouper struct {
 	nullAcc []*aggAcc // group of NULL keys; nil until first NULL row
 }
 
-// newGrouper builds a grouper; accCols[i] is the resolved column for
-// aggs[i] (nil for COUNT(*)).
-func newGrouper(col *storage.Column, aggs []Agg, accCols []*storage.Column) *grouper {
-	return &grouper{col: col, aggs: aggs, accCols: accCols, groups: make(map[int64][]*aggAcc)}
+// newGrouper builds a grouper charging qc; accCols[i] is the resolved
+// column for aggs[i] (nil for COUNT(*)).
+func newGrouper(qc *qctx, col *storage.Column, aggs []Agg, accCols []*storage.Column) *grouper {
+	return &grouper{qc: qc, col: col, aggs: aggs, accCols: accCols, groups: make(map[int64][]*aggAcc)}
 }
 
 // accsFor returns (creating on demand) the accumulator set for row's group.
@@ -54,17 +56,26 @@ func (g *grouper) newAccs() []*aggAcc {
 // addRow folds one qualifying row into its group.
 func (g *grouper) addRow(row int) {
 	for _, acc := range g.accsFor(row) {
-		acc.addRow(row)
+		acc.add(row, row+1, nil)
 	}
 }
 
-// addWindow folds a window of rows that all qualify. Unlike the global
+// covered folds a window of rows that all qualify. Unlike the global
 // accumulators, grouping always reads the key column, so the window
 // short-circuit only saves predicate evaluation, not key access.
-func (g *grouper) addWindow(lo, hi int) {
+func (g *grouper) covered(lo, hi int) error {
 	for row := lo; row < hi; row++ {
 		g.addRow(row)
 	}
+	return g.qc.checkGroups(len(g.groups))
+}
+
+// selected folds a batch of qualifying rows.
+func (g *grouper) selected(rows []uint32) error {
+	for _, row := range rows {
+		g.addRow(int(row))
+	}
+	return g.qc.checkGroups(len(g.groups))
 }
 
 // result materializes the grouped rows in key order (NULL group last) and

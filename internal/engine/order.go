@@ -3,89 +3,46 @@ package engine
 import (
 	"sort"
 
-	"adskip/internal/bitvec"
 	"adskip/internal/storage"
 )
 
-// execOrdered handles ORDER BY projections: it gathers every qualifying
-// row id (no early exit — ordering needs the full match set), sorts ids by
-// the order column's codes (code order equals value order; NULLs last),
-// truncates to the limit, then materializes. Aggregates, if present, fold
-// over the full match set before truncation.
-func (e *Engine) execOrdered(qc *qctx, plans []colPlan, res *Result, accs []*aggAcc, projCols []*storage.Column, orderCol *storage.Column, desc bool, limit, n int) error {
-	segs := []seg{{lo: 0, hi: n}}
-	for i := range plans {
-		segs = intersectPlan(segs, &plans[i], uint64(1)<<uint(i), n)
-	}
+// orderer is the ORDER BY consumer: it gathers every qualifying row id
+// the walk hands it (no early exit — ordering needs the full match set),
+// charging the gathered set against the result cap, and folds aggregates,
+// if present, over the full match set.
+type orderer struct {
+	qc    *qctx
+	accs  aggSink
+	cols  []*storage.Column // projection
+	by    *storage.Column
+	desc  bool
+	limit int
+	rows  []uint32
+}
 
-	tk := &ticker{qc: qc}
-	var rows []uint32
-	sel := bitvec.NewSelVec(1024)
-	for _, s := range segs {
-		if err := qc.check(0); err != nil {
-			return err
-		}
-		if s.needEval == 0 {
-			// Covered gather still materializes row ids (and the rows are
-			// read again for sort + projection), so chunk and charge it.
-			for lo := s.lo; lo < s.hi; {
-				end := lo + checkpointRows
-				if end > s.hi {
-					end = s.hi
-				}
-				for r := lo; r < end; r++ {
-					rows = append(rows, uint32(r))
-				}
-				if err := tk.tick(end - lo); err != nil {
-					return err
-				}
-				if err := qc.checkResult(len(rows)); err != nil {
-					return err
-				}
-				lo = end
-			}
-			continue
-		}
-		sel.Reset()
-		first := true
-		for i := range plans {
-			if s.needEval&(uint64(1)<<uint(i)) == 0 {
-				continue
-			}
-			p := &plans[i]
-			if first {
-				if err := filterSegChunked(tk, p, s, sel); err != nil {
-					return err
-				}
-				res.Stats.RowsScanned += s.hi - s.lo
-				first = false
-				continue
-			}
-			res.Stats.RowsScanned += sel.Len()
-			if err := tk.tick(sel.Len()); err != nil {
-				return err
-			}
-			if refineSel(sel, p) == 0 {
-				break
-			}
-		}
-		rows = append(rows, sel.Rows()...)
-		if err := qc.checkResult(len(rows)); err != nil {
-			return err
-		}
+func (o *orderer) covered(lo, hi int) error {
+	for r := lo; r < hi; r++ {
+		o.rows = append(o.rows, uint32(r))
 	}
-
-	for i, r := range rows {
-		if i%checkpointRows == checkpointRows-1 {
-			if err := qc.check(0); err != nil {
-				return err
-			}
-		}
-		for _, a := range accs {
-			a.addRow(int(r))
-		}
+	if err := o.qc.checkResult(len(o.rows)); err != nil {
+		return err
 	}
+	return o.accs.covered(lo, hi)
+}
 
+func (o *orderer) selected(rows []uint32) error {
+	o.rows = append(o.rows, rows...)
+	if err := o.qc.checkResult(len(o.rows)); err != nil {
+		return err
+	}
+	return o.accs.selected(rows)
+}
+
+// finish sorts the gathered ids by the order column's codes (code order
+// equals value order; NULLs last), truncates to the limit, then
+// materializes.
+func (o *orderer) finish(res *Result) error {
+	rows, orderCol, desc := o.rows, o.by, o.desc
 	codes := orderCol.Codes()
 	isNull := func(r uint32) bool { return orderCol.IsNull(int(r)) }
 	// Code order equals value order except on unsealed string dictionaries,
@@ -106,22 +63,17 @@ func (e *Engine) execOrdered(qc *qctx, plans []colPlan, res *Result, accs []*agg
 		}
 		return less(ri, rj)
 	})
-	if limit > 0 && len(rows) > limit {
-		rows = rows[:limit]
+	if o.limit > 0 && len(rows) > o.limit {
+		rows = rows[:o.limit]
 	}
-	for i, r := range rows {
-		if i%checkpointRows == checkpointRows-1 {
-			if err := qc.check(0); err != nil {
+	for lo := 0; lo < len(rows); lo += checkpointRows {
+		if lo > 0 {
+			if err := o.qc.check(0); err != nil {
 				return err
 			}
 		}
-		vals := make([]storage.Value, len(projCols))
-		for ci, col := range projCols {
-			vals[ci] = col.Value(int(r))
-		}
-		res.Rows = append(res.Rows, vals)
+		appendRows(res, o.cols, rows[lo:min(lo+checkpointRows, len(rows))])
 	}
 	res.Count = len(res.Rows)
-	e.feedbackGeneral(plans, segs)
 	return nil
 }

@@ -10,12 +10,13 @@ import (
 	"adskip/internal/scan"
 )
 
-// Parallel scan execution for the COUNT fast path. Candidate windows are
-// partitioned into contiguous groups of roughly equal row volume, one per
-// worker; each worker runs the same kernels over its group and the
-// partial counts, statistics, and zone observations merge losslessly
-// (counting is associative, observations are per-zone). Results are
-// therefore bit-identical to the serial path.
+// Parallel scan execution for the COUNT fast path, full scans included.
+// Candidate windows are partitioned into contiguous groups of roughly
+// equal row volume, one per worker (see partitionZones); each worker runs
+// the same kernels over its group and the partial counts, statistics, and
+// zone observations merge losslessly (counting is associative,
+// observations are per-zone). Results are therefore bit-identical to the
+// serial path.
 //
 // Every worker goroutine recovers its own panics into an error — panics
 // cannot cross goroutines, so an unrecovered worker panic would kill the
@@ -27,52 +28,12 @@ import (
 // off when each worker gets substantial contiguous work.
 const minRowsPerWorker = 1 << 16
 
-// parallelCountFull counts matches over [0, n) with p workers.
-func (e *Engine) parallelCountFull(qc *qctx, p *colPlan, n, workers int) (int, error) {
-	codes := p.col.Codes()
-	nulls := p.col.Nulls()
-	count := func(lo, hi int) int {
-		if p.pred.NullOnly {
-			return scan.CountNulls(nulls, lo, hi)
-		}
-		return scan.CountRanges(codes, lo, hi, p.pred.R, nulls, 0)
-	}
-	if workers <= 1 || n < minRowsPerWorker*2 {
-		return countChunks(&ticker{qc: qc}, 0, n, count)
-	}
-	counts := make([]int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer recoverToError(&errs[w])
-			if faultinject.Enabled() && faultinject.Fire(faultinject.WorkerPanic) {
-				panic(faultinject.PanicValue)
-			}
-			counts[w], errs[w] = countChunks(&ticker{qc: qc}, lo, hi, count)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if err := firstWorkerError(errs); err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total, nil
-}
-
 // zoneWork is one worker's slice of the candidate list.
 type zoneWork struct {
 	zones []core.CandidateZone
 	count int
 	obs   []core.ZoneObservation
 	stats ExecStats
-	err   error
 	span  *obs2.Span // per-worker trace span; nil when tracing is coarse
 }
 
@@ -85,20 +46,10 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 	}
 	if workers <= 1 || totalRows < minRowsPerWorker*2 {
 		w := zoneWork{zones: zones}
-		e.scanZoneGroup(qc, p, &w)
-		return w.count, w.obs, w.stats, w.err
+		err := e.scanZoneGroup(qc, p, &w)
+		return w.count, w.obs, w.stats, err
 	}
-	// Partition candidates into contiguous groups of ~equal row volume.
-	groups := make([]zoneWork, 0, workers)
-	target := (totalRows + workers - 1) / workers
-	start, acc := 0, 0
-	for i, z := range zones {
-		acc += z.Hi - z.Lo
-		if acc >= target || i == len(zones)-1 {
-			groups = append(groups, zoneWork{zones: zones[start : i+1]})
-			start, acc = i+1, 0
-		}
-	}
+	groups := partitionZones(zones, totalRows, workers)
 	// Pre-create one child span per worker from the coordinator; each
 	// worker finishes only its own span, so no span is shared between
 	// concurrent writers.
@@ -107,23 +58,20 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 			groups[g].span = qc.span.StartChild(fmt.Sprintf("worker %d", g))
 		}
 	}
+	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
 	for g := range groups {
 		wg.Add(1)
-		go func(w *zoneWork) {
+		go func(g int) {
 			defer wg.Done()
-			defer recoverToError(&w.err)
+			defer recoverToError(&errs[g])
 			if faultinject.Enabled() && faultinject.Fire(faultinject.WorkerPanic) {
 				panic(faultinject.PanicValue)
 			}
-			e.scanZoneGroup(qc, p, w)
-		}(&groups[g])
+			errs[g] = e.scanZoneGroup(qc, p, &groups[g])
+		}(g)
 	}
 	wg.Wait()
-	errs := make([]error, len(groups))
-	for g := range groups {
-		errs[g] = groups[g].err
-	}
 	if err := firstWorkerError(errs); err != nil {
 		return 0, nil, ExecStats{}, err
 	}
@@ -139,12 +87,42 @@ func (e *Engine) parallelCountZones(qc *qctx, p *colPlan, zones []core.Candidate
 	return count, obs, stats, nil
 }
 
+// partitionZones splits the candidate list into contiguous groups of
+// roughly equal row volume, one per worker. A window without a zone
+// identity (a full scan, an unindexed tail) owes no per-zone feedback, so
+// it is cut wherever a group fills; zones with an identity stay whole.
+func partitionZones(zones []core.CandidateZone, totalRows, workers int) []zoneWork {
+	groups := make([]zoneWork, 0, workers)
+	target := (totalRows + workers - 1) / workers
+	var cur []core.CandidateZone
+	acc := 0
+	for _, z := range zones {
+		for z.ID == core.NoZoneID && acc+z.Hi-z.Lo > target {
+			head := z
+			head.Hi = z.Lo + target - acc
+			groups = append(groups, zoneWork{zones: append(cur, head)})
+			cur, acc = nil, 0
+			z.Lo = head.Hi
+		}
+		cur = append(cur, z)
+		acc += z.Hi - z.Lo
+		if acc >= target {
+			groups = append(groups, zoneWork{zones: cur})
+			cur, acc = nil, 0
+		}
+	}
+	if len(cur) > 0 {
+		groups = append(groups, zoneWork{zones: cur})
+	}
+	return groups
+}
+
 // scanZoneGroup runs the fast-count kernels over one group of candidate
-// zones, accumulating into w. Counting kernels are chunked at checkpoint
+// zones, accumulating into w until the first cancellation or budget error. Counting kernels are chunked at checkpoint
 // granularity; the statistics kernel runs whole-zone (its partitions must
 // be exact) and ticks afterward — zones are bounded by MaxZoneRows, so
 // the overshoot is bounded too.
-func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
+func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) error {
 	codes := p.col.Codes()
 	nulls := p.col.Nulls()
 	tk := &ticker{qc: qc}
@@ -157,47 +135,34 @@ func (e *Engine) scanZoneGroup(qc *qctx, p *colPlan, w *zoneWork) {
 			w.span.FinishRows(rowsIn, w.count, 0)
 		}()
 	}
+	count := func(lo, hi int) int {
+		if p.pred.NullOnly {
+			return scan.CountNulls(nulls, lo, hi)
+		}
+		return scan.CountRanges(codes, lo, hi, p.pred.R, nulls)
+	}
 	for _, c := range w.zones {
 		ob := core.ZoneObservation{ID: c.ID, Lo: c.Lo, Hi: c.Hi, Covered: c.Covered}
-		switch {
-		case c.Covered:
+		if c.Covered {
 			w.count += c.Hi - c.Lo
 			w.stats.RowsCovered += c.Hi - c.Lo
-		case p.pred.NullOnly:
-			m, err := countChunks(tk, c.Lo, c.Hi, func(lo, hi int) int {
-				return scan.CountNulls(nulls, lo, hi)
-			})
+		} else {
+			var err error
+			if c.WantStats && !p.pred.NullOnly {
+				ob.Matched, ob.Stats = scan.CountWithStats(codes, c.Lo, c.Hi, p.pred.R, nulls, c.StatParts)
+				err = tk.tick(c.Hi - c.Lo)
+			} else {
+				ob.Matched, err = countChunks(tk, c.Lo, c.Hi, count)
+			}
 			if err != nil {
-				w.err = err
-				return
+				return err
 			}
-			w.count += m
+			w.count += ob.Matched
 			w.stats.RowsScanned += c.Hi - c.Lo
-			ob.Matched = m
-		case c.WantStats:
-			m, stats := scan.CountWithStats(codes, c.Lo, c.Hi, p.pred.R, nulls, 0, c.StatParts)
-			if err := tk.tick(c.Hi - c.Lo); err != nil {
-				w.err = err
-				return
-			}
-			w.count += m
-			w.stats.RowsScanned += c.Hi - c.Lo
-			ob.Matched = m
-			ob.Stats = stats
-		default:
-			m, err := countChunks(tk, c.Lo, c.Hi, func(lo, hi int) int {
-				return scan.CountRanges(codes, lo, hi, p.pred.R, nulls, 0)
-			})
-			if err != nil {
-				w.err = err
-				return
-			}
-			w.count += m
-			w.stats.RowsScanned += c.Hi - c.Lo
-			ob.Matched = m
 		}
 		if c.ID != core.NoZoneID {
 			w.obs = append(w.obs, ob)
 		}
 	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"adskip/internal/core"
 	"adskip/internal/expr"
 	"adskip/internal/storage"
 	"adskip/internal/table"
@@ -80,6 +81,42 @@ func TestParallelAdaptiveStillLearns(t *testing.T) {
 	if e.Skipper("v").Metadata().Zones <= zonesBefore {
 		t.Fatalf("no refinement under parallel execution: %d -> %d",
 			zonesBefore, e.Skipper("v").Metadata().Zones)
+	}
+}
+
+// TestPartitionZonesSplitsUnattributedWindows: a full scan is one window
+// with no zone identity, and it must still spread over every worker,
+// while zones with an identity (whose feedback must stay exact) are never
+// cut.
+func TestPartitionZonesSplitsUnattributedWindows(t *testing.T) {
+	full := []core.CandidateZone{{ID: core.NoZoneID, Lo: 0, Hi: 1000}}
+	groups := partitionZones(full, 1000, 4)
+	if len(groups) != 4 {
+		t.Fatalf("full scan split into %d groups, want 4", len(groups))
+	}
+	next := 0
+	for _, g := range groups {
+		for _, z := range g.zones {
+			if z.Lo != next || z.Hi-z.Lo != 250 {
+				t.Fatalf("groups %+v do not tile [0,1000) in quarters", groups)
+			}
+			next = z.Hi
+		}
+	}
+
+	// Two identified zones stay whole; the unindexed tail is cut.
+	mixed := []core.CandidateZone{{ID: 0, Lo: 0, Hi: 700}, {ID: 1, Lo: 700, Hi: 800}, {ID: core.NoZoneID, Lo: 800, Hi: 1200}}
+	next = 0
+	for _, g := range partitionZones(mixed, 1200, 4) {
+		for _, z := range g.zones {
+			if z.Lo != next || (z.ID != core.NoZoneID && z != mixed[z.ID]) {
+				t.Fatalf("zone %+v: identified zones must stay whole and groups must tile", z)
+			}
+			next = z.Hi
+		}
+	}
+	if next != 1200 {
+		t.Fatalf("groups end at %d, want 1200", next)
 	}
 }
 

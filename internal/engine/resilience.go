@@ -16,7 +16,7 @@ import (
 
 // Resilience layer: cooperative cancellation, per-query resource budgets,
 // panic isolation, and skipper quarantine. The design constraint is that
-// the hot scan loop stays branch-free: kernels run in checkpointRows-sized
+// the hot scan loop carries no checks: kernels run in checkpointRows-sized
 // chunks and all checking happens between chunks, so a 4M-row scan pays
 // ~64 cheap checks rather than 4M.
 

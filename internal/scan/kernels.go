@@ -3,14 +3,16 @@
 // The paper's substrate is a main-memory column store whose scans are fast
 // enough that any index must justify its metadata-read cost — that ratio is
 // what makes adaptive data skipping interesting. These kernels are the Go
-// stand-in for the paper's SIMD scans: word-at-a-time loops, unrolled by
-// four, with comparison results converted to 0/1 without data-dependent
-// branches in the hot path (the Go compiler lowers the b2i pattern to
-// SETcc/CSEL). Absolute throughput differs from hand-written SIMD; the
-// scan-vs-probe cost ratio that drives the paper's results is preserved.
+// stand-in for the paper's SIMD scans: plain loops over the code vector,
+// the dense count unrolled by four. They are not branch-free: the
+// short-circuit range test in countRangeDense and FilterSel's append
+// branch on the data. Absolute throughput differs from hand-written SIMD;
+// the scan-vs-probe cost ratio that drives the paper's results is
+// preserved.
 //
 // All kernels operate on a column's physical []int64 codes (see package
-// storage) against inclusive code intervals, and optionally mask NULL rows.
+// storage) against inclusive code intervals, and optionally mask NULL
+// rows. Row indices are absolute: codes[i] is row i, as is nulls bit i.
 package scan
 
 import (
@@ -20,8 +22,7 @@ import (
 	"adskip/internal/expr"
 )
 
-// b2i converts a bool to 0/1; the compiler emits branch-free code for this
-// pattern on amd64/arm64.
+// b2i converts a bool to 0/1.
 func b2i(b bool) int {
 	if b {
 		return 1
@@ -31,16 +32,15 @@ func b2i(b bool) int {
 
 // CountRange returns how many codes in codes[lo:hi] fall inside the
 // inclusive interval [rlo, rhi]. nulls, when non-nil, is the column's null
-// bitmap (indexed by absolute row = base+i) and null rows never match.
-// base is the absolute row index of codes[0].
-func CountRange(codes []int64, lo, hi int, rlo, rhi int64, nulls *bitvec.BitVec, base int) int {
+// bitmap and null rows never match.
+func CountRange(codes []int64, lo, hi int, rlo, rhi int64, nulls *bitvec.BitVec) int {
 	if nulls == nil {
 		return countRangeDense(codes[lo:hi], rlo, rhi)
 	}
 	n := 0
 	for i := lo; i < hi; i++ {
 		c := codes[i]
-		if c >= rlo && c <= rhi && !nullAt(nulls, base+i) {
+		if c >= rlo && c <= rhi && !nullAt(nulls, i) {
 			n++
 		}
 	}
@@ -67,129 +67,50 @@ func countRangeDense(codes []int64, rlo, rhi int64) int {
 
 // CountRanges counts codes in codes[lo:hi] matching any interval of r.
 // Specializes the common one-interval case to the dense kernel.
-func CountRanges(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) int {
+func CountRanges(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec) int {
 	switch r.Len() {
 	case 0:
 		return 0
 	case 1:
-		return CountRange(codes, lo, hi, r.Lo[0], r.Hi[0], nulls, base)
+		return CountRange(codes, lo, hi, r.Lo[0], r.Hi[0], nulls)
 	}
 	n := 0
 	for i := lo; i < hi; i++ {
-		if r.Contains(codes[i]) && !nullAt(nulls, base+i) {
+		if r.Contains(codes[i]) && !nullAt(nulls, i) {
 			n++
 		}
 	}
 	return n
 }
 
-// FilterBitmap sets out's bit for every row in [lo, hi) whose code matches
-// any interval of r (and is not NULL). out is indexed by absolute row;
-// bits outside [lo, hi) are left untouched. Returns the match count.
-func FilterBitmap(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int, out *bitvec.BitVec) int {
+// FilterSel appends the row indices in [lo, hi) whose codes match r (and
+// are not NULL) to sel, in ascending order. Returns the match count.
+func FilterSel(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, sel *bitvec.SelVec) int {
 	n := 0
 	if r.Len() == 1 {
 		rlo, rhi := r.Lo[0], r.Hi[0]
 		for i := lo; i < hi; i++ {
 			c := codes[i]
-			if c >= rlo && c <= rhi && !nullAt(nulls, base+i) {
-				out.Set(base + i)
+			if c >= rlo && c <= rhi && !nullAt(nulls, i) {
+				sel.Append(uint32(i))
 				n++
 			}
 		}
 		return n
 	}
 	for i := lo; i < hi; i++ {
-		if r.Contains(codes[i]) && !nullAt(nulls, base+i) {
-			out.Set(base + i)
+		if r.Contains(codes[i]) && !nullAt(nulls, i) {
+			sel.Append(uint32(i))
 			n++
 		}
 	}
 	return n
-}
-
-// FilterSel appends the absolute row indices in [lo, hi) whose codes match
-// r (and are not NULL) to sel, in ascending order. Returns the match count.
-func FilterSel(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int, sel *bitvec.SelVec) int {
-	n := 0
-	if r.Len() == 1 {
-		rlo, rhi := r.Lo[0], r.Hi[0]
-		for i := lo; i < hi; i++ {
-			c := codes[i]
-			if c >= rlo && c <= rhi && !nullAt(nulls, base+i) {
-				sel.Append(uint32(base + i))
-				n++
-			}
-		}
-		return n
-	}
-	for i := lo; i < hi; i++ {
-		if r.Contains(codes[i]) && !nullAt(nulls, base+i) {
-			sel.Append(uint32(base + i))
-			n++
-		}
-	}
-	return n
-}
-
-// RefineBitmap clears bits of out in [lo, hi) whose codes do NOT match r
-// (or are NULL). This is the conjunction step: after the first column
-// produces a bitmap, each further column refines it. Only rows whose bit
-// is currently set are examined. Returns the number of surviving rows in
-// the window.
-func RefineBitmap(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int, out *bitvec.BitVec) int {
-	n := 0
-	single := r.Len() == 1
-	var rlo, rhi int64
-	if single {
-		rlo, rhi = r.Lo[0], r.Hi[0]
-	}
-	for i := out.NextSet(base + lo); i >= 0 && i < base+hi; i = out.NextSet(i + 1) {
-		c := codes[i-base]
-		var match bool
-		if single {
-			match = c >= rlo && c <= rhi
-		} else {
-			match = r.Contains(c)
-		}
-		if !match || nullAt(nulls, i) {
-			out.Clear(i)
-		} else {
-			n++
-		}
-	}
-	return n
-}
-
-// SumRange returns the sum of codes in codes[lo:hi] whose code matches r,
-// along with the match count. The caller interprets the sum (valid for
-// Int64 columns; Float64 aggregation decodes per-row elsewhere).
-func SumRange(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) (sum int64, n int) {
-	if r.Len() == 1 {
-		rlo, rhi := r.Lo[0], r.Hi[0]
-		for i := lo; i < hi; i++ {
-			c := codes[i]
-			if c >= rlo && c <= rhi && !nullAt(nulls, base+i) {
-				sum += c
-				n++
-			}
-		}
-		return sum, n
-	}
-	for i := lo; i < hi; i++ {
-		c := codes[i]
-		if r.Contains(c) && !nullAt(nulls, base+i) {
-			sum += c
-			n++
-		}
-	}
-	return sum, n
 }
 
 // MinMaxRange returns the min and max code among non-null rows of
 // codes[lo:hi]. ok is false when every row in the window is NULL (or the
 // window is empty). Used by metadata builders and by zone re-tightening.
-func MinMaxRange(codes []int64, lo, hi int, nulls *bitvec.BitVec, base int) (min, max int64, ok bool) {
+func MinMaxRange(codes []int64, lo, hi int, nulls *bitvec.BitVec) (min, max int64, ok bool) {
 	min, max = math.MaxInt64, math.MinInt64
 	if nulls == nil {
 		for _, c := range codes[lo:hi] {
@@ -203,7 +124,7 @@ func MinMaxRange(codes []int64, lo, hi int, nulls *bitvec.BitVec, base int) (min
 		return min, max, hi > lo
 	}
 	for i := lo; i < hi; i++ {
-		if nullAt(nulls, base+i) {
+		if nullAt(nulls, i) {
 			continue
 		}
 		c := codes[i]

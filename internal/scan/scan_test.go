@@ -22,10 +22,10 @@ func oneRange(lo, hi int64) expr.Ranges {
 	return expr.Ranges{Lo: []int64{lo}, Hi: []int64{hi}}
 }
 
-func naiveCount(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base int) int {
+func naiveCount(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec) int {
 	n := 0
 	for i := lo; i < hi; i++ {
-		if nulls != nil && nulls.Get(base+i) {
+		if nulls != nil && nulls.Get(i) {
 			continue
 		}
 		if r.Contains(codes[i]) {
@@ -37,21 +37,21 @@ func naiveCount(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, 
 
 func TestCountRangeDense(t *testing.T) {
 	codes := seq(103, func(i int) int64 { return int64(i) }) // 0..102
-	got := CountRange(codes, 0, len(codes), 10, 20, nil, 0)
+	got := CountRange(codes, 0, len(codes), 10, 20, nil)
 	if got != 11 {
 		t.Fatalf("CountRange=%d want 11", got)
 	}
 	// Sub-window.
-	got = CountRange(codes, 15, 30, 10, 20, nil, 0)
+	got = CountRange(codes, 15, 30, 10, 20, nil)
 	if got != 6 { // 15..20
 		t.Fatalf("sub-window CountRange=%d want 6", got)
 	}
 	// Empty predicate range.
-	if CountRange(codes, 0, len(codes), 50, 40, nil, 0) != 0 {
+	if CountRange(codes, 0, len(codes), 50, 40, nil) != 0 {
 		t.Fatal("inverted range should match nothing")
 	}
 	// Full range.
-	if CountRange(codes, 0, len(codes), math.MinInt64, math.MaxInt64, nil, 0) != 103 {
+	if CountRange(codes, 0, len(codes), math.MinInt64, math.MaxInt64, nil) != 103 {
 		t.Fatal("full range should match all")
 	}
 }
@@ -61,58 +61,30 @@ func TestCountRangeWithNulls(t *testing.T) {
 	nulls := bitvec.New(10)
 	nulls.Set(3)
 	nulls.Set(7)
-	got := CountRange(codes, 0, 10, 0, 9, nulls, 0)
+	got := CountRange(codes, 0, 10, 0, 9, nulls)
 	if got != 8 {
 		t.Fatalf("with nulls CountRange=%d want 8", got)
-	}
-	// Base offset: codes window is rows 100.. in the table.
-	big := bitvec.New(110)
-	big.Set(102)
-	got = CountRange(codes, 0, 10, 0, 9, big, 100)
-	if got != 9 {
-		t.Fatalf("base-offset nulls CountRange=%d want 9", got)
 	}
 }
 
 func TestCountRanges(t *testing.T) {
 	codes := seq(100, func(i int) int64 { return int64(i) })
 	r := expr.Ranges{Lo: []int64{5, 90}, Hi: []int64{9, 94}}
-	if got := CountRanges(codes, 0, 100, r, nil, 0); got != 10 {
+	if got := CountRanges(codes, 0, 100, r, nil); got != 10 {
 		t.Fatalf("CountRanges=%d want 10", got)
 	}
-	if got := CountRanges(codes, 0, 100, expr.Ranges{}, nil, 0); got != 0 {
+	if got := CountRanges(codes, 0, 100, expr.Ranges{}, nil); got != 0 {
 		t.Fatalf("empty ranges=%d want 0", got)
 	}
-	if got := CountRanges(codes, 0, 100, oneRange(50, 59), nil, 0); got != 10 {
+	if got := CountRanges(codes, 0, 100, oneRange(50, 59), nil); got != 10 {
 		t.Fatalf("single range=%d want 10", got)
-	}
-}
-
-func TestFilterBitmap(t *testing.T) {
-	codes := seq(64, func(i int) int64 { return int64(i % 8) })
-	out := bitvec.New(64)
-	n := FilterBitmap(codes, 0, 64, oneRange(2, 3), nil, 0, out)
-	if n != 16 || out.Count() != 16 {
-		t.Fatalf("FilterBitmap n=%d count=%d want 16", n, out.Count())
-	}
-	out.ForEachSet(func(i int) {
-		if codes[i] < 2 || codes[i] > 3 {
-			t.Fatalf("bit %d set for code %d", i, codes[i])
-		}
-	})
-	// Multi-interval path.
-	out2 := bitvec.New(64)
-	r := expr.Ranges{Lo: []int64{0, 7}, Hi: []int64{0, 7}}
-	n = FilterBitmap(codes, 0, 64, r, nil, 0, out2)
-	if n != 16 {
-		t.Fatalf("multi FilterBitmap n=%d want 16", n)
 	}
 }
 
 func TestFilterSel(t *testing.T) {
 	codes := []int64{5, 1, 9, 3, 7, 3}
 	sel := bitvec.NewSelVec(0)
-	n := FilterSel(codes, 0, len(codes), oneRange(3, 5), nil, 0, sel)
+	n := FilterSel(codes, 0, len(codes), oneRange(3, 5), nil, sel)
 	if n != 3 {
 		t.Fatalf("FilterSel n=%d want 3", n)
 	}
@@ -122,95 +94,43 @@ func TestFilterSel(t *testing.T) {
 			t.Fatalf("sel rows=%v want %v", sel.Rows(), want)
 		}
 	}
-	// Base offset shifts row ids; multi-interval path.
+	// Multi-interval path.
 	sel.Reset()
 	r := expr.Ranges{Lo: []int64{1, 9}, Hi: []int64{1, 9}}
-	FilterSel(codes, 0, len(codes), r, nil, 100, sel)
-	if rows := sel.Rows(); len(rows) != 2 || rows[0] != 101 || rows[1] != 102 {
-		t.Fatalf("base-offset sel=%v", sel.Rows())
-	}
-}
-
-func TestRefineBitmap(t *testing.T) {
-	a := seq(32, func(i int) int64 { return int64(i) })     // col A: 0..31
-	b := seq(32, func(i int) int64 { return int64(i % 4) }) // col B: 0..3 cycle
-	out := bitvec.New(32)
-	FilterBitmap(a, 0, 32, oneRange(8, 23), nil, 0, out) // rows 8..23
-	n := RefineBitmap(b, 0, 32, oneRange(1, 1), nil, 0, out)
-	if n != 4 || out.Count() != 4 { // rows 9,13,17,21
-		t.Fatalf("RefineBitmap n=%d count=%d want 4", n, out.Count())
-	}
-	out.ForEachSet(func(i int) {
-		if i < 8 || i > 23 || b[i] != 1 {
-			t.Fatalf("row %d should not survive", i)
-		}
-	})
-	// Refine over a sub-window only touches that window.
-	out2 := bitvec.NewSet(32)
-	RefineBitmap(b, 0, 16, expr.Ranges{}, nil, 0, out2)
-	if out2.CountRange(0, 16) != 0 || out2.CountRange(16, 32) != 16 {
-		t.Fatalf("window refine wrong: %s", out2)
-	}
-}
-
-func TestRefineBitmapWithNulls(t *testing.T) {
-	b := seq(8, func(i int) int64 { return 1 })
-	nulls := bitvec.New(8)
-	nulls.Set(2)
-	out := bitvec.NewSet(8)
-	n := RefineBitmap(b, 0, 8, oneRange(1, 1), nulls, 0, out)
-	if n != 7 || out.Get(2) {
-		t.Fatalf("null row survived refine: n=%d", n)
-	}
-}
-
-func TestSumRange(t *testing.T) {
-	codes := []int64{1, 2, 3, 4, 5}
-	sum, n := SumRange(codes, 0, 5, oneRange(2, 4), nil, 0)
-	if sum != 9 || n != 3 {
-		t.Fatalf("SumRange=%d,%d want 9,3", sum, n)
-	}
-	r := expr.Ranges{Lo: []int64{1, 5}, Hi: []int64{1, 5}}
-	sum, n = SumRange(codes, 0, 5, r, nil, 0)
-	if sum != 6 || n != 2 {
-		t.Fatalf("multi SumRange=%d,%d want 6,2", sum, n)
-	}
-	nulls := bitvec.New(5)
-	nulls.Set(1)
-	sum, n = SumRange(codes, 0, 5, oneRange(1, 5), nulls, 0)
-	if sum != 13 || n != 4 {
-		t.Fatalf("null SumRange=%d,%d want 13,4", sum, n)
+	FilterSel(codes, 0, len(codes), r, nil, sel)
+	if rows := sel.Rows(); len(rows) != 2 || rows[0] != 1 || rows[1] != 2 {
+		t.Fatalf("multi-interval sel=%v", sel.Rows())
 	}
 }
 
 func TestMinMaxRange(t *testing.T) {
 	codes := []int64{5, -2, 9, 0}
-	min, max, ok := MinMaxRange(codes, 0, 4, nil, 0)
+	min, max, ok := MinMaxRange(codes, 0, 4, nil)
 	if !ok || min != -2 || max != 9 {
 		t.Fatalf("MinMax=%d,%d,%v", min, max, ok)
 	}
-	min, max, ok = MinMaxRange(codes, 1, 2, nil, 0)
+	min, max, ok = MinMaxRange(codes, 1, 2, nil)
 	if !ok || min != -2 || max != -2 {
 		t.Fatalf("single MinMax=%d,%d,%v", min, max, ok)
 	}
-	if _, _, ok := MinMaxRange(codes, 2, 2, nil, 0); ok {
+	if _, _, ok := MinMaxRange(codes, 2, 2, nil); ok {
 		t.Fatal("empty window should be ok=false")
 	}
 	nulls := bitvec.New(4)
 	nulls.Set(2) // mask the 9
-	min, max, ok = MinMaxRange(codes, 0, 4, nulls, 0)
+	min, max, ok = MinMaxRange(codes, 0, 4, nulls)
 	if !ok || min != -2 || max != 5 {
 		t.Fatalf("null MinMax=%d,%d,%v", min, max, ok)
 	}
 	nulls.SetAll()
-	if _, _, ok := MinMaxRange(codes, 0, 4, nulls, 0); ok {
+	if _, _, ok := MinMaxRange(codes, 0, 4, nulls); ok {
 		t.Fatal("all-null window should be ok=false")
 	}
 }
 
 func TestCountWithStats(t *testing.T) {
 	codes := seq(100, func(i int) int64 { return int64(i) })
-	total, stats := CountWithStats(codes, 0, 100, oneRange(25, 74), nil, 0, 4)
+	total, stats := CountWithStats(codes, 0, 100, oneRange(25, 74), nil, 4)
 	if total != 50 {
 		t.Fatalf("total=%d want 50", total)
 	}
@@ -234,24 +154,24 @@ func TestCountWithStats(t *testing.T) {
 func TestCountWithStatsEdges(t *testing.T) {
 	codes := seq(5, func(i int) int64 { return int64(i) })
 	// parts > n clamps to n.
-	total, stats := CountWithStats(codes, 0, 5, oneRange(0, 4), nil, 0, 99)
+	total, stats := CountWithStats(codes, 0, 5, oneRange(0, 4), nil, 99)
 	if total != 5 || len(stats) != 5 {
 		t.Fatalf("clamp: total=%d parts=%d", total, len(stats))
 	}
 	// parts < 1 clamps to 1.
-	_, stats = CountWithStats(codes, 0, 5, oneRange(0, 4), nil, 0, 0)
+	_, stats = CountWithStats(codes, 0, 5, oneRange(0, 4), nil, 0)
 	if len(stats) != 1 {
 		t.Fatalf("min clamp: parts=%d", len(stats))
 	}
 	// Empty window.
-	total, stats = CountWithStats(codes, 3, 3, oneRange(0, 4), nil, 0, 2)
+	total, stats = CountWithStats(codes, 3, 3, oneRange(0, 4), nil, 2)
 	if total != 0 || stats != nil {
 		t.Fatalf("empty window: total=%d stats=%v", total, stats)
 	}
-	// Window offsets with base.
-	_, stats = CountWithStats(codes, 2, 5, oneRange(0, 4), nil, 1000, 1)
-	if stats[0].Lo != 1002 || stats[0].Hi != 1005 {
-		t.Fatalf("base window [%d,%d)", stats[0].Lo, stats[0].Hi)
+	// Window offsets.
+	_, stats = CountWithStats(codes, 2, 5, oneRange(0, 4), nil, 1)
+	if stats[0].Lo != 2 || stats[0].Hi != 5 {
+		t.Fatalf("window [%d,%d)", stats[0].Lo, stats[0].Hi)
 	}
 }
 
@@ -260,7 +180,7 @@ func TestCountWithStatsNulls(t *testing.T) {
 	nulls := bitvec.New(10)
 	nulls.Set(0)
 	nulls.Set(9)
-	total, stats := CountWithStats(codes, 0, 10, oneRange(0, 100), nulls, 0, 2)
+	total, stats := CountWithStats(codes, 0, 10, oneRange(0, 100), nulls, 2)
 	if total != 8 {
 		t.Fatalf("total=%d want 8", total)
 	}
@@ -297,26 +217,15 @@ func TestQuickKernelsAgreeWithNaive(t *testing.T) {
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo+1)
 
-		want := naiveCount(codes, lo, hi, r, nulls, 0)
-		if CountRanges(codes, lo, hi, r, nulls, 0) != want {
-			return false
-		}
-		out := bitvec.New(n)
-		if FilterBitmap(codes, lo, hi, r, nulls, 0, out) != want || out.Count() != want {
+		want := naiveCount(codes, lo, hi, r, nulls)
+		if CountRanges(codes, lo, hi, r, nulls) != want {
 			return false
 		}
 		sel := bitvec.NewSelVec(0)
-		if FilterSel(codes, lo, hi, r, nulls, 0, sel) != want || sel.Len() != want {
+		if FilterSel(codes, lo, hi, r, nulls, sel) != want || sel.Len() != want {
 			return false
 		}
-		all := bitvec.NewSet(n)
-		if RefineBitmap(codes, lo, hi, r, nulls, 0, all) != want {
-			return false
-		}
-		if all.CountRange(lo, hi) != want {
-			return false
-		}
-		total, stats := CountWithStats(codes, lo, hi, r, nulls, 0, 1+rng.Intn(8))
+		total, stats := CountWithStats(codes, lo, hi, r, nulls, 1+rng.Intn(8))
 		if total != want {
 			return false
 		}
@@ -346,7 +255,7 @@ func BenchmarkCountRangeDense(b *testing.B) {
 	b.SetBytes(8 << 20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CountRange(codes, 0, len(codes), 100, 300, nil, 0)
+		CountRange(codes, 0, len(codes), 100, 300, nil)
 	}
 }
 
@@ -356,6 +265,6 @@ func BenchmarkCountWithStats(b *testing.B) {
 	b.SetBytes(8 << 20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CountWithStats(codes, 0, len(codes), r, nil, 0, 16)
+		CountWithStats(codes, 0, len(codes), r, nil, 16)
 	}
 }

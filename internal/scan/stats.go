@@ -22,9 +22,8 @@ type PartStat struct {
 // sub-windows. It makes a single pass: the marginal cost over CountRanges
 // is the stat bookkeeping, not a second data read.
 //
-// parts is clamped to [1, hi-lo]. Row indices in the returned stats are
-// absolute (base-adjusted).
-func CountWithStats(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, base, parts int) (int, []PartStat) {
+// parts is clamped to [1, hi-lo].
+func CountWithStats(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitVec, parts int) (int, []PartStat) {
 	n := hi - lo
 	if n <= 0 {
 		return 0, nil
@@ -46,7 +45,7 @@ func CountWithStats(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitV
 		s := &stats[p]
 		pLo := lo + p*n/parts
 		pHi := lo + (p+1)*n/parts
-		s.Lo, s.Hi = base+pLo, base+pHi
+		s.Lo, s.Hi = pLo, pHi
 		if nulls == nil && single && pHi > pLo {
 			// Dense single-interval fast path: locals only, no branches
 			// beyond the comparisons themselves.
@@ -69,7 +68,7 @@ func CountWithStats(codes []int64, lo, hi int, r expr.Ranges, nulls *bitvec.BitV
 		s.Min, s.Max = int64(1)<<62, -(int64(1) << 62) // sentinels; overwritten on first non-null
 		first := true
 		for i := pLo; i < pHi; i++ {
-			if nullAt(nulls, base+i) {
+			if nullAt(nulls, i) {
 				continue
 			}
 			c := codes[i]

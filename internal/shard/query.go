@@ -131,9 +131,10 @@ func (m *Manager) executeOne(ctx context.Context, q engine.Query, start time.Tim
 
 // scatterGather fans the rewritten query out to the target shards and
 // merges. Per-phase accounting mirrors one engine — plan covers the
-// per-shard query rewrite, shardprune is the shard phase, and scan is the
-// scatter+merge wall clock (per-shard probe/scan/feedback detail lives in
-// each shard's own trace, summarized as child spans here).
+// per-shard query rewrite, shardprune is the shard phase, probe and
+// feedback are those of the shard that finished last, and scan is the
+// rest of the scatter+merge wall clock. Each shard's own span tree hangs
+// under its "shard N" span.
 func (m *Manager) scatterGather(ctx context.Context, q engine.Query, start time.Time, prune *obs.Span, targets []int, pruned int) (*engine.Result, error) {
 	total := m.NumRows()
 	rw := rewriteQuery(q)
@@ -175,19 +176,33 @@ func (m *Manager) scatterGather(ctx context.Context, q engine.Query, start time.
 			return nil, err
 		}
 	}
-	tr.Scan = time.Since(tScan)
+	scatter := time.Since(tScan)
 	res.Stats.ShardsScanned, res.Stats.ShardsPruned = len(targets), pruned
+	var slowest *obs.QueryTrace
 	for i, p := range partials {
 		if p.Trace == nil {
 			continue
 		}
-		spScan.Attach(&obs.Span{
+		sp := &obs.Span{
 			Name:     fmt.Sprintf("shard %d", m.shards[targets[i]].id),
 			Start:    p.Trace.Start,
 			Duration: p.Trace.Total,
-		})
+		}
+		for _, c := range p.Trace.Root.Children() {
+			sp.Attach(c)
+		}
+		spScan.Attach(sp)
+		if slowest == nil || p.Trace.Total > slowest.Total {
+			slowest = p.Trace
+		}
 	}
-	spScan.FinishDuration(tr.Scan)
+	// The slowest shard set the scatter's wall clock, so its probe and
+	// feedback phases are the logical query's; the rest is scan and merge.
+	if slowest != nil {
+		tr.Probe, tr.Feedback = slowest.Probe, slowest.Feedback
+	}
+	tr.Scan = max(scatter-tr.Probe-tr.Feedback, 0)
+	spScan.FinishDuration(scatter)
 	spScan.FinishRows(res.Stats.RowsScanned+res.Stats.RowsCovered, res.Count, res.Stats.RowsSkipped)
 
 	tr.Total = time.Since(start)

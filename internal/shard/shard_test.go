@@ -446,6 +446,49 @@ func TestExplainAnalyzeShardPhase(t *testing.T) {
 	}
 }
 
+// TestScatterTraceCarriesProbeAndFeedback: a query that scans two or more
+// shards reports the probe and feedback phases of the shard that set the
+// scatter's wall clock, the phases still sum to at most the total, and
+// each shard span carries that shard's own plan/prune/scan spans.
+func TestScatterTraceCarriesProbeAndFeedback(t *testing.T) {
+	_, m := pair(t, ModeRange, 4, 1000)
+	res, err := m.Query(engine.Query{Where: expr.And(
+		expr.MustPred("id", expr.Between, storage.IntValue(200), storage.IntValue(300))),
+		Aggs: []engine.Agg{{Kind: engine.CountStar}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Trace
+	if tr.ShardsScanned < 2 {
+		t.Fatalf("predicate scanned %d shards, want two or more", tr.ShardsScanned)
+	}
+	if tr.Probe <= 0 {
+		t.Errorf("merged trace Probe = %v, want > 0", tr.Probe)
+	}
+	if sum := tr.Plan + tr.ShardPrune + tr.Probe + tr.Scan + tr.Feedback; sum > tr.Total {
+		t.Errorf("phases sum to %v, more than the total %v", sum, tr.Total)
+	}
+	shards := 0
+	for _, c := range tr.Root.Children() {
+		if c.Name != "scatter" {
+			continue
+		}
+		for _, s := range c.Children() {
+			shards++
+			hasPrune := false
+			for _, g := range s.Children() {
+				hasPrune = hasPrune || g.Name == "prune"
+			}
+			if !hasPrune {
+				t.Errorf("span %q has no prune child", s.Name)
+			}
+		}
+	}
+	if shards != tr.ShardsScanned {
+		t.Errorf("scatter span has %d shard children, want %d", shards, tr.ShardsScanned)
+	}
+}
+
 // TestSkipmapsPerShard checks the per-shard snapshot dimension.
 func TestSkipmapsPerShard(t *testing.T) {
 	_, m := pair(t, ModeRange, 4, 1000)

@@ -76,7 +76,7 @@ func (m *Map) Extend(codes []int64, nulls *bitvec.BitVec) {
 		if hi > total {
 			hi = total
 		}
-		min, max, ok := scan.MinMaxRange(codes, lo, hi, nulls, 0)
+		min, max, ok := scan.MinMaxRange(codes, lo, hi, nulls)
 		z := Zone{}
 		if ok {
 			z.Min, z.Max = min, max
